@@ -68,50 +68,42 @@ module Server = struct
   }
 
   let register t (blob : string) : int =
-    Mutex.lock t.mutex;
-    let id =
-      match Hashtbl.find_opt t.by_blob blob with
-      | Some id ->
-        Counters.incr t.counters "registration_hits";
-        id
-      | None ->
-        (* reject blobs that do not decode: the server never serves junk *)
-        (try ignore (Omf_pbio.Format_codec.decode blob)
-         with Omf_pbio.Format_codec.Codec_error m ->
-           Mutex.unlock t.mutex;
-           Counters.incr t.counters "registration_rejects";
-           proto_error "refusing malformed descriptor: %s" m);
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        Hashtbl.replace t.by_blob blob id;
-        Hashtbl.replace t.by_id id blob;
-        Hashtbl.replace t.by_fingerprint
-          (Omf_util.Sha256.hex (Omf_util.Sha256.digest blob))
-          id;
-        Counters.incr t.counters "registrations";
-        Log.info (fun m -> m "registered format id %d (%d bytes)" id (String.length blob));
-        id
-    in
-    Mutex.unlock t.mutex;
-    id
+    Mutex.protect t.mutex @@ fun () ->
+    match Hashtbl.find_opt t.by_blob blob with
+    | Some id ->
+      Counters.incr t.counters "registration_hits";
+      id
+    | None ->
+      (* reject blobs that do not decode: the server never serves junk *)
+      (try ignore (Omf_pbio.Format_codec.decode blob)
+       with Omf_pbio.Format_codec.Codec_error m ->
+         Counters.incr t.counters "registration_rejects";
+         proto_error "refusing malformed descriptor: %s" m);
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      Hashtbl.replace t.by_blob blob id;
+      Hashtbl.replace t.by_id id blob;
+      Hashtbl.replace t.by_fingerprint
+        (Omf_util.Sha256.hex (Omf_util.Sha256.digest blob))
+        id;
+      Counters.incr t.counters "registrations";
+      Log.info (fun m -> m "registered format id %d (%d bytes)" id (String.length blob));
+      id
 
   let lookup t (id : int) : string option =
-    Mutex.lock t.mutex;
-    let r = Hashtbl.find_opt t.by_id id in
-    Mutex.unlock t.mutex;
+    let r = Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.by_id id) in
     Counters.incr t.counters
       (match r with Some _ -> "lookup_hits" | None -> "lookup_misses");
     r
 
   let lookup_fingerprint t (fp : string) : (int * string) option =
-    Mutex.lock t.mutex;
     let r =
-      match Hashtbl.find_opt t.by_fingerprint fp with
-      | None -> None
-      | Some id ->
-        Option.map (fun blob -> (id, blob)) (Hashtbl.find_opt t.by_id id)
+      Mutex.protect t.mutex (fun () ->
+          match Hashtbl.find_opt t.by_fingerprint fp with
+          | None -> None
+          | Some id ->
+            Option.map (fun blob -> (id, blob)) (Hashtbl.find_opt t.by_id id))
     in
-    Mutex.unlock t.mutex;
     Counters.incr t.counters
       (match r with
       | Some _ -> "fingerprint_hits"
@@ -219,11 +211,7 @@ module Server = struct
     end
 
   (** Number of distinct formats registered so far. *)
-  let size t =
-    Mutex.lock t.mutex;
-    let n = Hashtbl.length t.by_id in
-    Mutex.unlock t.mutex;
-    n
+  let size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.by_id)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -248,10 +236,7 @@ module Client = struct
     | exception Omf_transport.Tcp.Tcp_error m -> raise (Server_unavailable m)
 
   let rpc t frame =
-    Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
+    Mutex.protect t.mutex (fun () ->
         Omf_transport.Link.send t.link frame;
         match Omf_transport.Link.recv t.link with
         | Some reply -> reply

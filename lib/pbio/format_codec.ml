@@ -182,7 +182,11 @@ let decode (blob : string) : Format.t =
           ({ Ftype.f_name; f_elem; f_dim }, offset, elem_size))
     in
     let decl = { Ftype.name; fields = List.map (fun (d, _, _) -> d) fields } in
-    let fmt = Format.resolve ~abi ~id (Hashtbl.find_opt catalog) decl in
+    let fmt =
+      try Format.resolve ~abi ~id (Hashtbl.find_opt catalog) decl
+      with Layout.Layout_error m | Format.Registration_error m ->
+        codec_error "format %S: %s" name m
+    in
     (* Cross-check the transmitted physical layout against our own
        recomputation under the same ABI: they must agree, or our plans
        would read the payload at the wrong offsets. *)

@@ -166,6 +166,33 @@ type role =
 
 type state = Running | Draining | Stopped
 
+(** A trace stage (doc/TRACE.md) with its [stage_us.<stage>] latency
+    histogram, resolved once per shard. *)
+type stage = { stage : string; stage_us : Counters.histogram }
+
+(** A stream's [comp.<stream>.raw_bytes] / [wire_bytes] totals. *)
+type comp_meter = { comp_raw : Counters.counter; comp_wire : Counters.counter }
+
+(** The shard's per-frame and per-delivery series, registered once at
+    shard creation so the frame path updates cells, never names. *)
+type meters = {
+  frames_in : Counters.counter;
+  frames_out : Counters.counter;
+  events_relayed : Counters.counter;
+  bytes_in : Counters.counter;
+  bytes_out : Counters.counter;
+  store_appends : Counters.counter;
+  store_replay_frames : Counters.counter;
+  publish_admit_us : Counters.histogram;
+  compress_ratio : Counters.histogram;
+  comp_control : comp_meter;  (** pre-role and control-only connections *)
+  st_publish_admit : stage;
+  st_store_append : stage;
+  st_fanout_enqueue : stage;
+  st_flush : stage;
+  st_deliver : stage;
+}
+
 (** Delivery-side tracing mark (doc/TRACE.md): stamped on a subscriber
     connection when a traced frame is enqueued, consumed by the [flush]
     span (first bytes written after the enqueue) and the [deliver] span
@@ -201,6 +228,10 @@ type conn = {
           PROTOCOLS.md §18) and armed after the plaintext banner like
           [mac]; composed outside authentication — every wire frame is
           [seal (compress body)] out, [decompress (open frame)] in *)
+  mutable comp_meter : comp_meter option;
+      (** the stream's compression totals on a [comp] connection, taken
+          with its role on its final shard; [None] counts as the shard's
+          [comp.control] *)
   mutable gov_debited : int;
       (** wire bytes debited against the shard governor and not yet
           credited back (written, dropped, or surrendered at close) —
@@ -271,6 +302,7 @@ and t = {
   broker : Broker.t;
   conns : (int, conn) Hashtbl.t;  (** loop-thread only *)
   counters : Counters.t;
+  meters : meters;
   shard_id : int;
   cid_stride : int;
   shared : shared option;  (** [None] for a standalone relay *)
@@ -456,20 +488,39 @@ let enqueue_wire (c : conn) ~droppable (wire : Slice.t list) =
    [comp.control.*] covers pre-role and control-only connections. *)
 let comp_ratio_bounds = [ 100; 110; 125; 150; 200; 300; 500; 800; 1600 ]
 
-let note_comp (c : conn) ~(raw : int) ~(wire : int) =
-  let t = c.home in
-  let subject =
-    match c.role with
-    | Publisher p -> p.stream
-    | Subscriber s -> s.stream
-    | Pending -> "control"
+let comp_meter (counters : Counters.t) (subject : string) : comp_meter =
+  { comp_raw = Counters.counter counters ("comp." ^ subject ^ ".raw_bytes")
+  ; comp_wire = Counters.counter counters ("comp." ^ subject ^ ".wire_bytes") }
+
+let meters (counters : Counters.t) : meters =
+  let c = Counters.counter counters in
+  let stage stage =
+    { stage; stage_us = Counters.histogram counters ("stage_us." ^ stage) }
   in
-  Counters.incr t.counters ~by:raw (Printf.sprintf "comp.%s.raw_bytes" subject);
-  Counters.incr t.counters ~by:wire
-    (Printf.sprintf "comp.%s.wire_bytes" subject);
-  if wire > 0 then
-    Counters.observe t.counters ~bounds:comp_ratio_bounds "compress_ratio"
-      (raw * 100 / wire)
+  { frames_in = c "frames_in"; frames_out = c "frames_out"
+  ; events_relayed = c "events_relayed"; bytes_in = c "bytes_in"
+  ; bytes_out = c "bytes_out"; store_appends = c "store_appends"
+  ; store_replay_frames = c "store_replay_frames"
+  ; publish_admit_us = Counters.histogram counters "publish_admit_us"
+  ; compress_ratio =
+      Counters.histogram counters ~bounds:comp_ratio_bounds "compress_ratio"
+  ; comp_control = comp_meter counters "control"
+  ; st_publish_admit = stage "publish_admit"
+  ; st_store_append = stage "store_append"
+  ; st_fanout_enqueue = stage "fanout_enqueue"; st_flush = stage "flush"
+  ; st_deliver = stage "deliver" }
+
+(** Take [c]'s per-stream compression handles as it takes its role on
+    [stream] (on its final shard, so [c.home] is the owner). *)
+let take_comp_meter (c : conn) (stream : string) =
+  if c.comp then c.comp_meter <- Some (comp_meter c.home.counters stream)
+
+let note_comp (c : conn) ~(raw : int) ~(wire : int) =
+  let m = c.home.meters in
+  let cm = Option.value c.comp_meter ~default:m.comp_control in
+  Counters.add cm.comp_raw raw;
+  Counters.add cm.comp_wire wire;
+  if wire > 0 then Counters.record m.compress_ratio (raw * 100 / wire)
 
 let enqueue_entry (c : conn) ~droppable (frame : Bytes.t) =
   let t = c.home in
@@ -547,23 +598,23 @@ let credit_conn (c : conn) (n : int) =
    crosses the slow threshold; the same gate feeds the stage-latency
    histogram so "stage_us.*" and /trace/spans always agree. *)
 let trace_record (t : t) ~(trace : int64) ~(parent : int64)
-    ~(sampled : bool) ~(stage : string) ~(stream : string) ~(t0_us : int) =
+    ~(sampled : bool) ~(stage : stage) ~(stream : string) ~(t0_us : int) =
   match t.trace with
   | None -> ()
   | Some col ->
     let dur = Trace.now_us () - t0_us in
     if Trace.should_record col ~sampled ~dur_us:dur then begin
-      Trace.record col ~trace ~parent ~stage ~stream ~start_us:t0_us
-        ~dur_us:dur;
-      Counters.observe t.counters ("stage_us." ^ stage) dur
+      Trace.record col ~trace ~parent ~stage:stage.stage ~stream
+        ~start_us:t0_us ~dur_us:dur;
+      Counters.record stage.stage_us dur
     end
 
-let trace_span (t : t) (ctx : Trace.ctx) ~(stage : string)
+let trace_span (t : t) (ctx : Trace.ctx) ~(stage : stage)
     ~(stream : string) ~(t0_us : int) =
   trace_record t ~trace:ctx.Trace.trace_id ~parent:ctx.Trace.span_id
     ~sampled:ctx.Trace.sampled ~stage ~stream ~t0_us
 
-let trace_mark_span (t : t) (tm : tmark) ~(stage : string) =
+let trace_mark_span (t : t) (tm : tmark) ~(stage : stage) =
   trace_record t ~trace:tm.tm_trace ~parent:tm.tm_parent
     ~sampled:tm.tm_sampled ~stage ~stream:tm.tm_stream ~t0_us:tm.tm_enq_us
 
@@ -815,8 +866,8 @@ let pump_replay (t : t) (c : conn) =
            (* slice replay: bodies are views into the store's segment
               read buffers, enqueued without copying *)
            Store.iter_range_slices r.r_store r.r_next upto (fun off body ->
-               Counters.incr t.counters "store_replay_frames";
-               Counters.incr t.counters "frames_out";
+               Counters.add t.meters.store_replay_frames 1;
+               Counters.add t.meters.frames_out 1;
                enqueue_entry_slice c ~droppable:true body;
                r.r_next <- off + 1)
          with
@@ -917,7 +968,7 @@ and enqueue_relayed_frame (t : t) (c : conn) (frame : Bytes.t) =
     | Publisher _ | Pending -> ())
   | None -> ());
   enqueue_entry c ~droppable frame;
-  Counters.incr t.counters "frames_out"
+  Counters.add t.meters.frames_out 1
 
 (** Governor health changed (called synchronously from a debit or
     credit). Entering [Overloaded] pauses ingress from every publisher
@@ -1289,6 +1340,7 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
               in
               c.role <-
                 Publisher { stream; link; acks; mirror; skip_dup; acked; ptrace };
+              take_comp_meter c stream;
               Counters.incr t.counters
                 (if mirror then "mirror_publishers" else "publishers");
               (* joining a stream that is already congested: start paused *)
@@ -1379,6 +1431,7 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
             in
             c.role <-
               Subscriber { stream; unsubscribe; skip_until = -1; replay = None };
+            take_comp_meter c stream;
             Counters.incr t.counters "subscriptions"
           in
           let from =
@@ -1424,6 +1477,7 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
               let pump = Option.is_some replay in
               c.role <-
                 Subscriber { stream; unsubscribe; skip_until = start; replay };
+              take_comp_meter c stream;
               if pump then pump_replay t c;
               Counters.incr t.counters "subscriptions"
             | exception Store.Store_error msg ->
@@ -1556,7 +1610,7 @@ and route (src : t) (target : t) (c : conn) kind (body : string)
         else Rconn.doom c.io "shard draining")
 
 let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
-  Counters.incr t.counters "frames_in";
+  Counters.add t.meters.frames_in 1;
   if Bytes.length frame = 0 then protocol_reject t c "empty frame"
   else
     let kind = Bytes.get frame 0 in
@@ -1617,10 +1671,11 @@ let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
               Fun.protect
                 ~finally:(fun () -> t.cur_trace <- None)
                 (fun () -> Link.send p.link frame);
-              trace_span t ctx ~stage:"fanout_enqueue" ~stream:p.stream
+              trace_span t ctx ~stage:t.meters.st_fanout_enqueue
+                ~stream:p.stream
                 ~t0_us:f0
           in
-          if is_message then Counters.incr t.counters "events_relayed";
+          if is_message then Counters.add t.meters.events_relayed 1;
           (match Hashtbl.find_opt t.stores p.stream with
           | Some st when is_message -> (
             let ap0 =
@@ -1628,11 +1683,11 @@ let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
             in
             match Store.append st frame with
             | off ->
-              Counters.incr t.counters "store_appends";
+              Counters.add t.meters.store_appends 1;
               (match tctx with
               | Some ctx ->
-                trace_span t ctx ~stage:"store_append" ~stream:p.stream
-                  ~t0_us:ap0
+                trace_span t ctx ~stage:t.meters.st_store_append
+                  ~stream:p.stream ~t0_us:ap0
               | None -> ());
               if p.acks then schedule_ack_flush t p.stream;
               (* thread the fresh offset through fan-out so subscriber
@@ -1657,12 +1712,12 @@ let handle_frame (t : t) (c : conn) (frame : Bytes.t) =
           (* publish -> queue admission latency: the full cost of
              accepting this message (store append + fan-out enqueues) *)
           if is_message then begin
-            Counters.observe t.counters "publish_admit_us"
+            Counters.record t.meters.publish_admit_us
               (int_of_float ((Unix.gettimeofday () -. admit_t0) *. 1e6));
             match tctx with
             | Some ctx ->
-              trace_span t ctx ~stage:"publish_admit" ~stream:p.stream
-                ~t0_us:admit_us
+              trace_span t ctx ~stage:t.meters.st_publish_admit
+                ~stream:p.stream ~t0_us:admit_us
             | None -> ()
           end
         end
@@ -1770,7 +1825,7 @@ let conn_progress (c : conn) =
      wire: close out its end-to-end [deliver] span *)
   (match c.trace_mark with
   | Some tm when Rconn.queued c.io = 0 ->
-    trace_mark_span t tm ~stage:"deliver";
+    trace_mark_span t tm ~stage:t.meters.st_deliver;
     c.trace_mark <- None
   | Some _ | None -> ());
   if t.state = Draining && Rconn.queued c.io = 0 then check_drain_done t
@@ -1806,16 +1861,16 @@ let adopt_fd (t : t) (fd : Unix.file_descr) =
         ~on_bytes:(fun _ dir n ->
           let c = the_conn () in
           match dir with
-          | `In -> Counters.incr c.home.counters ~by:n "bytes_in"
+          | `In -> Counters.add c.home.meters.bytes_in n
           | `Out ->
-            Counters.incr c.home.counters ~by:n "bytes_out";
+            Counters.add c.home.meters.bytes_out n;
             credit_conn c n;
             (* first write after a traced enqueue: the [flush] span —
                time from fan-out to bytes reaching the socket *)
             (match c.trace_mark with
             | Some tm when not tm.tm_flushed ->
               tm.tm_flushed <- true;
-              trace_mark_span c.home tm ~stage:"flush"
+              trace_mark_span c.home tm ~stage:c.home.meters.st_flush
             | Some _ | None -> ()))
         ()
     in
@@ -1828,7 +1883,7 @@ let adopt_fd (t : t) (fd : Unix.file_descr) =
     let c =
       { cid; io; creds = []; role = Pending; over_since = None
       ; grace_timer = None; congesting = false; mac = None; mac_rejects = 0
-      ; comp = false; gov_debited = 0; throttled = false; bucket
+      ; comp = false; comp_meter = None; gov_debited = 0; throttled = false; bucket
       ; trace_mark = None; home = t }
     in
     cell := Some c;
@@ -1888,6 +1943,7 @@ let create_shard ~host ~port ~relay_id ~policy ~max_queue ~evict_grace
     ~sndbuf ~auth_keys ~mac_reject_limit ~drain_s ~governor ~ingress ~trace
     ~shard_id ~cid_stride ~shared ~store () : t =
   let gov = Governor.create governor in
+  let counters = Counters.create () in
   let t =
     { host; port; relay_id; policy; max_queue; evict_grace; sndbuf; auth_keys
     ; mac_reject_limit; drain_default_s = drain_s; governor = gov; ingress
@@ -1895,7 +1951,7 @@ let create_shard ~host ~port ~relay_id ~policy ~max_queue ~evict_grace
     ; stream_trace = Hashtbl.create 8; cur_trace = None
     ; lsock = None; lreg = None
     ; reactor = Reactor.create (); broker = Broker.create ()
-    ; conns = Hashtbl.create 64; counters = Counters.create (); shard_id
+    ; conns = Hashtbl.create 64; counters; meters = meters counters; shard_id
     ; cid_stride; shared; store_cfg = store; stores = Hashtbl.create 8
     ; adverts = Hashtbl.create 8
     ; fanout_offset = -1

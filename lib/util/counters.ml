@@ -1,65 +1,132 @@
-type t = {
-  mu : Mutex.t;
-  tbl : (string, int ref) Hashtbl.t;
+(* Cells are atomics so updates need no lock (see the .mli for the
+   contract); histogram buckets are stored non-cumulative, the last one
+   being the overflow bucket, and made cumulative only when rendered. *)
+
+type counter = int Atomic.t
+
+type histogram = {
+  bounds : int array;  (** inclusive upper bounds, strictly ascending *)
+  bound_list : int list;  (** as registered, to check re-registrations *)
+  buckets : int Atomic.t array;  (** [Array.length bounds + 1] cells *)
+  sum : int Atomic.t;
 }
 
-let create () : t = { mu = Mutex.create (); tbl = Hashtbl.create 16 }
+(* [named]: touched through the by-name API. A counter is listed once it
+   is named or non-zero, so registering a handle alone adds nothing to
+   a snapshot, exactly as an untouched name never did. *)
+type entry = { cell : counter; mutable named : bool }
 
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-    Mutex.unlock t.mu;
-    v
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e
+type t = {
+  mu : Mutex.t;
+  counters : (string, entry) Hashtbl.t;
+  hists : (string, histogram) Hashtbl.t;
+}
 
-let cell t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some r -> r
+let create () : t =
+  { mu = Mutex.create (); counters = Hashtbl.create 16; hists = Hashtbl.create 8 }
+
+let entry t name =
+  match Hashtbl.find_opt t.counters name with
+  | Some e -> e
   | None ->
-    let r = ref 0 in
-    Hashtbl.replace t.tbl name r;
-    r
+    let e = { cell = Atomic.make 0; named = false } in
+    Hashtbl.replace t.counters name e;
+    e
 
-let incr t ?(by = 1) name =
-  locked t (fun () ->
-      let r = cell t name in
-      r := !r + by)
+let counter t name = Mutex.protect t.mu (fun () -> (entry t name).cell)
 
-let set t name v = locked t (fun () -> cell t name := v)
+let add (c : counter) n = ignore (Atomic.fetch_and_add c n)
 
-(* Histograms are encoded as plain counters under the reserved "hist."
-   group so they ride every existing transport for free (STATS text,
-   [merged] across shards, [of_text]): cumulative buckets
-   "hist.<name>.le_<bound>" (zero-padded so sorted = numeric order),
-   "hist.<name>.le_inf", plus "hist.<name>.count" / "hist.<name>.sum".
-   Summing two snapshots bucket-wise is exactly histogram merge. *)
+let named t name =
+  Mutex.protect t.mu (fun () ->
+      let e = entry t name in
+      e.named <- true;
+      e.cell)
+
+let incr t ?(by = 1) name = add (named t name) by
+
+let set t name v = Atomic.set (named t name) v
+
 let default_bounds =
   [50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000; 50000; 100000; 250000; 1000000]
 
-let bucket_key name bound = Printf.sprintf "hist.%s.le_%09d" name bound
+let histogram t ?(bounds = default_bounds) name =
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.hists name with
+      | Some h ->
+        if h.bound_list == bounds || h.bound_list = bounds then h
+        else invalid_arg ("Counters.histogram: different bounds for " ^ name)
+      | None ->
+        let rec ascending = function
+          | a :: (b :: _ as rest) -> a < b && ascending rest
+          | [ _ ] | [] -> true
+        in
+        if not (ascending bounds) then
+          invalid_arg ("Counters.histogram: bounds not ascending for " ^ name);
+        let bounds_a = Array.of_list bounds in
+        let h =
+          { bounds = bounds_a
+          ; bound_list = bounds
+          ; buckets = Array.init (Array.length bounds_a + 1) (fun _ -> Atomic.make 0)
+          ; sum = Atomic.make 0 }
+        in
+        Hashtbl.replace t.hists name h;
+        h)
 
-let observe t ?(bounds = default_bounds) name v =
-  locked t (fun () ->
-      List.iter
-        (fun bound ->
-          if v <= bound then Stdlib.incr (cell t (bucket_key name bound)))
-        bounds;
-      Stdlib.incr (cell t (Printf.sprintf "hist.%s.le_inf" name));
-      Stdlib.incr (cell t (Printf.sprintf "hist.%s.count" name));
-      let sum = cell t (Printf.sprintf "hist.%s.sum" name) in
-      sum := !sum + v)
-let remove t name = locked t (fun () -> Hashtbl.remove t.tbl name)
+(* first bucket whose bound is >= v; the overflow bucket past the end *)
+let record h v =
+  let b = h.bounds in
+  let lo = ref 0 and hi = ref (Array.length b) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if v <= Array.unsafe_get b mid then hi := mid else lo := mid + 1
+  done;
+  Atomic.incr (Array.unsafe_get h.buckets !lo);
+  add h.sum v
 
-let get t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl name with Some r -> !r | None -> 0)
+let observe t ?bounds name v = record (histogram t ?bounds name) v
+
+(* A histogram is rendered as the plain counters it always was, under
+   the reserved "hist." group, so it rides every existing transport
+   (STATS text, [merged] across shards, [of_text], Prometheus):
+   cumulative buckets "hist.<name>.le_<bound>" (zero-padded so sorted =
+   numeric order) listed once a sample reached them, then
+   "hist.<name>.le_inf", ".count" and ".sum" once there is any sample.
+   Summing two snapshots bucket-wise is exactly histogram merge. *)
+let hist_rows name h acc =
+  let acc = ref acc and cum = ref 0 in
+  Array.iteri
+    (fun i bound ->
+      cum := !cum + Atomic.get h.buckets.(i);
+      if !cum > 0 then
+        acc := (Printf.sprintf "hist.%s.le_%09d" name bound, !cum) :: !acc)
+    h.bounds;
+  let total = !cum + Atomic.get h.buckets.(Array.length h.bounds) in
+  if total = 0 then !acc
+  else
+    (Printf.sprintf "hist.%s.le_inf" name, total)
+    :: (Printf.sprintf "hist.%s.count" name, total)
+    :: (Printf.sprintf "hist.%s.sum" name, Atomic.get h.sum)
+    :: !acc
+
+let remove t name = Mutex.protect t.mu (fun () -> Hashtbl.remove t.counters name)
 
 let dump t =
-  locked t (fun () -> Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.tbl [])
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.fold
+        (fun name e acc ->
+          let v = Atomic.get e.cell in
+          if e.named || v <> 0 then (name, v) :: acc else acc)
+        t.counters []
+      |> Hashtbl.fold hist_rows t.hists)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let get t name =
+  match
+    Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.counters name)
+  with
+  | Some e -> Atomic.get e.cell
+  | None -> Option.value ~default:0 (List.assoc_opt name (dump t))
 
 let merged (ts : t list) : (string * int) list =
   let acc = Hashtbl.create 32 in

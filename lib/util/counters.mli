@@ -1,16 +1,58 @@
-(** Named monotonic counters: the cheap observability substrate used by
-    long-running servers (the relay daemon's STATS reply, the load
-    generator's report, the `/metrics` endpoint). Thread-safe: each
-    table carries a mutex so relay shards running on separate domains
-    can be snapshotted ({!dump}, {!merged}) from any thread while their
-    loops keep counting. *)
+(** Named monotonic counters, gauges and histograms: the cheap
+    observability substrate of long-running servers (the relay daemon's
+    STATS reply, the load generator's report, the [/metrics] endpoint).
+
+    {b Handles.} Every series is a cell registered once per table:
+    {!counter} returns a counter's [int Atomic.t] cell, {!histogram} a
+    fixed array of per-bucket cells plus a sum cell. Hot paths resolve
+    their handles once (a relay shard at creation, a connection when it
+    takes its role) and update them with {!add} and {!record}: one
+    bucket search and one or two [fetch_and_add]s, with no lock, no
+    hashing and no string formatting. A handle stays valid for the life
+    of its table and may be updated from any domain.
+
+    {b Locking.} Each table's mutex guards only its name → cell maps:
+    registration (which is also the first step of every by-name call:
+    {!incr}, {!set}, {!observe}, {!get}, {!remove}) and snapshots
+    ({!dump}, {!merged}, {!to_text}). Cells are read atomically, so a
+    snapshot taken while other domains count never blocks them; each
+    value in it is one that the cell held during the snapshot.
+
+    {b Same bounds.} A histogram name has one set of bucket bounds for
+    the life of its table: registering it again (by {!histogram} or
+    {!observe}) with different bounds raises [Invalid_argument]. *)
 
 type t
 
 val create : unit -> t
 
+type counter = int Atomic.t
+
+val counter : t -> string -> counter
+(** [counter t name] registers [name] (at 0) if absent and returns its
+    cell. Registration alone does not list the counter in snapshots: it
+    appears once non-zero or once touched through {!incr}/{!set}. *)
+
+val add : counter -> int -> unit
+(** [add c n] adds [n] to the cell: one [fetch_and_add]. *)
+
+type histogram
+
+val histogram : t -> ?bounds:int list -> string -> histogram
+(** [histogram t name] registers the histogram [name] if absent and
+    returns its cells. [bounds] are the inclusive bucket upper bounds,
+    strictly ascending ({!default_bounds} when omitted); anything else,
+    or bounds that differ from [name]'s first registration, raises
+    [Invalid_argument]. *)
+
+val record : histogram -> int -> unit
+(** [record h v] adds one sample (e.g. a latency in microseconds): a
+    binary search for its bucket, then one [fetch_and_add] on the
+    bucket and one on the sum. *)
+
 val incr : t -> ?by:int -> string -> unit
-(** [incr t name] adds [by] (default 1) to [name], creating it at 0. *)
+(** [incr t name] adds [by] (default 1) to [name], creating it at 0:
+    {!counter} then {!add}. *)
 
 val set : t -> string -> int -> unit
 (** [set t name v] overwrites [name] with [v] — the gauge primitive
@@ -18,25 +60,26 @@ val set : t -> string -> int -> unit
     {!incr}. *)
 
 val observe : t -> ?bounds:int list -> string -> int -> unit
-(** [observe t name v] records one sample in the histogram [name]
-    (e.g. a latency in microseconds). Histograms are stored as plain
-    counters under the reserved ["hist."] group — cumulative buckets
-    ["hist.<name>.le_<bound>"] (zero-padded), ["hist.<name>.le_inf"],
-    ["hist.<name>.count"] and ["hist.<name>.sum"] — so they flow
-    through {!dump}, {!to_text} and {!merged} unchanged, and summing
-    per-shard snapshots merges histograms bucket-wise. [bounds] are the
-    inclusive upper bounds, ascending ({!default_bounds} when omitted);
-    every call site for a given [name] must use the same bounds. *)
+(** [observe t name v] is {!histogram} then {!record}. Snapshots render
+    a histogram as the plain counters of the reserved ["hist."] group —
+    cumulative buckets ["hist.<name>.le_<bound>"] (zero-padded, each
+    listed once a sample has reached it), ["hist.<name>.le_inf"],
+    ["hist.<name>.count"] and ["hist.<name>.sum"] (listed once there is
+    a sample) — so they flow through {!dump}, {!to_text} and {!merged}
+    unchanged, and summing per-shard snapshots merges histograms
+    bucket-wise. *)
 
 val default_bounds : int list
 (** 50 .. 1_000_000 — microsecond-scale latency buckets. *)
 
 val remove : t -> string -> unit
 (** Drop a gauge whose subject went away (e.g. a stream whose store
-    segments were all retired); no-op if absent. *)
+    segments were all retired); no-op if absent. A handle to it keeps
+    working but is no longer reported. *)
 
 val get : t -> string -> int
-(** 0 for counters never touched. *)
+(** The value {!dump} would report for [name] (including ["hist.*"]
+    rows); 0 for names never touched. *)
 
 val dump : t -> (string * int) list
 (** All counters, sorted by name. *)

@@ -115,6 +115,25 @@ let test_server_rejects_garbage_descriptor () =
       check int "nothing registered" 0 (Fs.Server.size server);
       Omf_transport.Link.close link)
 
+let test_malformed_register_keeps_serving () =
+  with_server (fun server ->
+      let port = server.Fs.Server.port in
+      let link = Omf_transport.Tcp.connect ~port () in
+      Omf_transport.Link.send link
+        (Bytes.of_string ("R" ^ Omf_testkit.Descriptors.duplicate_field ()));
+      (match Omf_transport.Link.recv link with
+      | Some reply -> check Alcotest.char "rejected" 'N' (Bytes.get reply 0)
+      | None -> Alcotest.fail "no reply to the malformed registration");
+      Omf_transport.Link.close link;
+      (* the registry lock was released: a fresh client is still served *)
+      let fresh = Omf_transport.Tcp.connect ~port () in
+      Omf_transport.Link.send fresh (Bytes.of_string "G\000\000\000\001");
+      (match Omf_transport.Link.recv fresh with
+      | Some reply -> check Alcotest.char "unknown id" 'N' (Bytes.get reply 0)
+      | None -> Alcotest.fail "lookup got a closed connection");
+      check int "nothing registered" 0 (Fs.Server.size server);
+      Omf_transport.Link.close fresh)
+
 let test_server_down_degrades () =
   let server = Fs.Server.start ~port:0 () in
   let port = server.Fs.Server.port in
@@ -139,7 +158,9 @@ let () =
         ; Alcotest.test_case "registration idempotent" `Quick
             test_registration_idempotent
         ; Alcotest.test_case "garbage descriptors rejected" `Quick
-            test_server_rejects_garbage_descriptor ] )
+            test_server_rejects_garbage_descriptor
+        ; Alcotest.test_case "malformed registration keeps serving" `Quick
+            test_malformed_register_keeps_serving ] )
     ; ( "end-to-end",
         [ Alcotest.test_case "messages with global ids" `Quick
             test_end_to_end_with_global_ids

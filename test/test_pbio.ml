@@ -460,6 +460,11 @@ let test_codec_rejects_corruption () =
     Alcotest.fail "expected Codec_error"
   with Format_codec.Codec_error _ -> ()
 
+let test_codec_duplicate_field () =
+  match Format_codec.decode (Omf_testkit.Descriptors.duplicate_field ()) with
+  | _ -> Alcotest.fail "expected Codec_error"
+  | exception Format_codec.Codec_error _ -> ()
+
 let test_receiver_requires_negotiation () =
   let reg = Registry.create Abi.x86_64 in
   let a, _, _, _ = Fx.register_all reg in
@@ -698,6 +703,8 @@ let () =
         [ Alcotest.test_case "descriptor round-trip" `Quick test_codec_roundtrip
         ; Alcotest.test_case "corruption rejected" `Quick
             test_codec_rejects_corruption
+        ; Alcotest.test_case "duplicate field is a Codec_error" `Quick
+            test_codec_duplicate_field
         ; Alcotest.test_case "receive before negotiation fails" `Quick
             test_receiver_requires_negotiation ] )
     ; ( "framing",

@@ -331,6 +331,61 @@ let test_stats_protocol () =
   Relay.close_consumer consumer;
   Relay.Client.close pub
 
+(* The relay's per-frame counters are handles resolved once per shard,
+   and a connection's per-stream compression handles are taken with its
+   role, on its final shard. A 2-shard cluster with a plain and a comp=lz
+   subscriber, one of which lands on the shard that does not own the
+   stream and migrates, must still report STATS that add up: one
+   admission sample per relayed event, one frames_out per delivery, and
+   per-stream compression bytes equal to what the compressed
+   subscriber's own wrapper saw. *)
+let test_cluster_counters_wiring () =
+  let cl = Relay.Cluster.start ~shards:2 () in
+  Fun.protect ~finally:(fun () -> Relay.Cluster.stop cl) @@ fun () ->
+  let port = Relay.Cluster.port cl in
+  (* round-robin accepts: the publisher pins the stream to its shard,
+     so of the next two connections one lands on the other shard *)
+  let pub, sender, fmt = make_publisher ~port ~stream:"flights" in
+  let zc = Relay.Client.connect ~port ~compress:true () in
+  check bool "comp=lz granted" true (Relay.Client.compressed zc);
+  let _, zlink = Relay.Client.subscribe zc ~stream:"flights" in
+  let raw0, wire0 = Option.get (Relay.Client.comp_totals zc) in
+  let pc = Relay.Client.connect ~port () in
+  let _, plink = Relay.Client.subscribe pc ~stream:"flights" in
+  let n = 50 in
+  for seq = 0 to n - 1 do
+    publish sender fmt ~pad:(seq * 7) seq
+  done;
+  (* every frame a subscriber gets is one delivery: descriptors too *)
+  let drain link =
+    let rec go frames msgs =
+      if msgs = n then frames
+      else
+        match Link.recv link with
+        | Some f ->
+          go (frames + 1)
+            (if Char.equal (Bytes.get f 0) Endpoint.frame_message then msgs + 1
+             else msgs)
+        | None -> Alcotest.fail "subscriber closed early"
+    in
+    go 0 0
+  in
+  let deliveries = drain zlink + drain plink in
+  let raw1, wire1 = Option.get (Relay.Client.comp_totals zc) in
+  let admin = Relay.Client.connect ~port () in
+  let stats = Relay.Client.stats admin in
+  let get k = Option.value ~default:0 (List.assoc_opt k stats) in
+  check bool "a subscriber migrated" true (get "shard_handoffs" >= 1);
+  check int "events relayed" n (get "events_relayed");
+  check int "one admission sample per event" (get "events_relayed")
+    (get "hist.publish_admit_us.count");
+  check int "frames_out = deliveries" deliveries (get "frames_out");
+  check int "comp raw bytes = subscriber's" (raw1 - raw0)
+    (get "comp.flights.raw_bytes");
+  check int "comp wire bytes = subscriber's" (wire1 - wire0)
+    (get "comp.flights.wire_bytes");
+  List.iter Relay.Client.close [ admin; pc; zc; pub ]
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: 64 concurrent TCP subscribers, zero loss, in order       *)
 (* ------------------------------------------------------------------ *)
@@ -808,7 +863,9 @@ let () =
             test_scoped_credentials_over_tcp
         ; Alcotest.test_case "unknown stream / role errors" `Quick
             test_unknown_stream_and_role_errors
-        ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol ] )
+        ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol
+        ; Alcotest.test_case "cluster counters after a migration" `Quick
+            test_cluster_counters_wiring ] )
     ; ( "scale",
         [ Alcotest.test_case "64 TCP subscribers, zero loss, in order" `Quick
             test_64_subscribers_zero_loss_in_order ] )

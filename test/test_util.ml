@@ -233,6 +233,146 @@ let test_histogram_prometheus () =
   check bool "sum" true (has "omf_relay_admit_us_sum 10000009");
   check bool "count" true (has "omf_relay_admit_us_count 2")
 
+(* The string-keyed histogram encoding counters used before they became
+   cells, kept as the oracle: every sample bumps each cumulative bucket
+   it fits, then le_inf, count and sum. *)
+module Hist_oracle = struct
+  let bump tbl k by =
+    Hashtbl.replace tbl k (by + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+  let observe tbl ~bounds name v =
+    List.iter
+      (fun b -> if v <= b then bump tbl (Printf.sprintf "hist.%s.le_%09d" name b) 1)
+      bounds;
+    bump tbl (Printf.sprintf "hist.%s.le_inf" name) 1;
+    bump tbl (Printf.sprintf "hist.%s.count" name) 1;
+    bump tbl (Printf.sprintf "hist.%s.sum" name) v
+
+  let dump tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
+
+  let merged tbls =
+    let all = Hashtbl.create 16 in
+    List.iter (fun tbl -> Hashtbl.iter (bump all) tbl) tbls;
+    dump all
+end
+
+(* Random ascending bounds for two histograms, 1-3 tables, and samples
+   (0, negative, inside and past the top bound) recorded through either
+   the by-name or the handle API, interleaved with a plain counter. *)
+let prop_histogram_matches_oracle =
+  let open QCheck in
+  let bounds = Gen.(map (List.sort_uniq compare) (list_size (int_range 0 6) (int_range 0 2000))) in
+  let sample =
+    Gen.(oneof [ return 0; int_range (-100) (-1); int_range 0 2000; int_range 2001 1_000_000 ])
+  in
+  let op = Gen.(quad (int_range 0 2) (int_range 0 1) bool sample) in
+  Test.make ~name:"histogram cells render the string-keyed encoding" ~count:300
+    (make
+       ~print:Print.(triple (pair (list int) (list int)) int (list (quad int int bool int)))
+       Gen.(triple (pair bounds bounds) (int_range 1 3) (list_size (int_range 0 60) op)))
+    (fun ((b0, b1), ntables, ops) ->
+      let module C = Omf_util.Counters in
+      let tables = Array.init ntables (fun _ -> C.create ()) in
+      let oracles = Array.init ntables (fun _ -> Hashtbl.create 16) in
+      let names = [| ("h0", b0); ("h1", b1) |] in
+      List.iter
+        (fun (ti, hi, by_handle, v) ->
+          let ti = ti mod ntables in
+          let name, bounds = names.(hi) in
+          if by_handle then C.record (C.histogram tables.(ti) ~bounds name) v
+          else C.observe tables.(ti) ~bounds name v;
+          Hist_oracle.observe oracles.(ti) ~bounds name v;
+          C.incr tables.(ti) "frames";
+          Hist_oracle.bump oracles.(ti) "frames" 1)
+        ops;
+      let prom l = C.prometheus ~component:"relay" l in
+      Array.for_all2
+        (fun c o ->
+          C.dump c = Hist_oracle.dump o
+          && prom (C.dump c) = prom (Hist_oracle.dump o))
+        tables oracles
+      && C.merged (Array.to_list tables)
+         = Hist_oracle.merged (Array.to_list oracles))
+
+let test_histogram_bounds_rule () =
+  let module C = Omf_util.Counters in
+  let c = C.create () in
+  C.observe c ~bounds:[ 1; 2 ] "h" 1;
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check bool "same bounds re-register" false
+    (raises (fun () -> C.histogram c ~bounds:[ 1; 2 ] "h"));
+  check bool "different bounds" true
+    (raises (fun () -> C.observe c ~bounds:[ 1; 3 ] "h" 1));
+  check bool "default bounds differ too" true (raises (fun () -> C.histogram c "h"));
+  check bool "descending bounds" true
+    (raises (fun () -> C.histogram c ~bounds:[ 3; 1 ] "h2"));
+  check int "rejected registrations record nothing" 1 (C.get c "hist.h.count")
+
+(* Two writer domains update shared handles while a third snapshots:
+   totals are exact and no snapshot ever goes backwards or disagrees
+   with itself. *)
+let test_counters_concurrent () =
+  let module C = Omf_util.Counters in
+  let c = C.create () in
+  let n = 50_000 in
+  let frames = C.counter c "frames" in
+  let h = C.histogram c ~bounds:[ 10; 100; 1000 ] "lat" in
+  let writers_done = Atomic.make 0 in
+  let writer k =
+    Domain.spawn (fun () ->
+        for i = 1 to n do
+          C.add frames 1;
+          C.record h ((i * k) mod 2000)
+        done;
+        Atomic.incr writers_done)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let prev = ref [] and snapshots = ref 0 in
+        let ok = ref true in
+        while Atomic.get writers_done < 2 do
+          let snap = C.dump c in
+          let get k = Option.value ~default:0 (List.assoc_opt k snap) in
+          if get "hist.lat.count" <> get "hist.lat.le_inf" then ok := false;
+          List.iter (fun (k, v) -> if get k < v then ok := false) !prev;
+          prev := snap;
+          incr snapshots
+        done;
+        (!ok, !snapshots))
+  in
+  let w1 = writer 1 and w2 = writer 7 in
+  Domain.join w1;
+  Domain.join w2;
+  let ok, snapshots = Domain.join reader in
+  check bool "snapshots consistent and monotone" true ok;
+  check bool "took snapshots" true (snapshots > 0);
+  check int "frames exact" (2 * n) (C.get c "frames");
+  check int "count exact" (2 * n) (C.get c "hist.lat.count");
+  let expect_sum =
+    List.fold_left
+      (fun acc k ->
+        let s = ref acc in
+        for i = 1 to n do
+          s := !s + ((i * k) mod 2000)
+        done;
+        !s)
+      0 [ 1; 7 ]
+  in
+  check int "sum exact" expect_sum (C.get c "hist.lat.sum");
+  let le b =
+    List.fold_left
+      (fun acc k ->
+        let s = ref acc in
+        for i = 1 to n do
+          if (i * k) mod 2000 <= b then incr s
+        done;
+        !s)
+      0 [ 1; 7 ]
+  in
+  check int "le_100 exact" (le 100) (C.get c "hist.lat.le_000000100")
+
 let test_token_bucket () =
   let module Tb = Omf_util.Token_bucket in
   let b = Tb.create ~rate:10.0 ~burst:5.0 ~now:100.0 in
@@ -401,7 +541,12 @@ let () =
         ; Alcotest.test_case "histogram observe/merge" `Quick
             test_histogram_observe
         ; Alcotest.test_case "histogram prometheus rendering" `Quick
-            test_histogram_prometheus ] )
+            test_histogram_prometheus
+        ; QCheck_alcotest.to_alcotest prop_histogram_matches_oracle
+        ; Alcotest.test_case "histogram bounds rule" `Quick
+            test_histogram_bounds_rule
+        ; Alcotest.test_case "handles under concurrent snapshots" `Quick
+            test_counters_concurrent ] )
     ; ( "token-bucket",
         [ Alcotest.test_case "refill, debt, monotonic clock" `Quick
             test_token_bucket ] )
