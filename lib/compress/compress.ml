@@ -28,21 +28,39 @@ let is_lz b = Bytes.length b > 0 && Bytes.get b 0 = tag_lz
 
 (* -- encoder ------------------------------------------------------- *)
 
-let hash4 src i =
-  let b k = Char.code (Bytes.unsafe_get src (i + k)) in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  (v * 0x9E3779B1) lsr (32 - hash_bits) land (hash_size - 1)
+(* Unaligned 4- and 8-byte loads, for hashing and for comparing a run
+   a word at a time. The compiler unboxes these when their result goes
+   straight into an integer op or an equality test, so none of them
+   allocates. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* The 4 bytes at [i] read little-endian (sign-extended: [hash_of]
+   keeps only bits 18..31 of the product, which depend on the low 32
+   bits alone). Hashing the little-endian value on every host keeps the
+   match finder, and so every block, byte-identical across endianness. *)
+let load32le src i =
+  let v = get32u src i in
+  Int32.to_int (if Sys.big_endian then bswap32 v else v)
+
+let hash_of v = (v * 0x9E3779B1) lsr (32 - hash_bits) land (hash_size - 1)
+
+let hash4 src i = hash_of (load32le src i)
 
 (* Longest common run of [a] (at cand) and [b] (at cur), both relative
-   to [base], bounded by the end of the window. Overlap (cand + k
-   reaching past cur) is fine: by the time the decoder copies byte k,
-   bytes before it are already written. *)
+   to [base], bounded by the end of the window; compares 8 bytes at a
+   time, then finishes byte by byte. Overlap (cand + k reaching past
+   cur) is fine: by the time the decoder copies byte k, bytes before it
+   are already written. *)
 let match_len src base cand cur len =
+  let a = base + cand and b = base + cur and lim = len - cur in
   let k = ref 0 in
+  while !k + 8 <= lim && get64u src (a + !k) = get64u src (b + !k) do
+    k := !k + 8
+  done;
   while
-    cur + !k < len
-    && Bytes.unsafe_get src (base + cand + !k)
-       = Bytes.unsafe_get src (base + cur + !k)
+    !k < lim && Bytes.unsafe_get src (a + !k) = Bytes.unsafe_get src (b + !k)
   do
     incr k
   done;
@@ -136,7 +154,8 @@ let compress_sub ?scratch:ws src ~pos ~len =
       let hlimit = len - min_match in
       while !i <= hlimit do
         let cur = !i in
-        let h = hash4 src (pos + cur) in
+        let cur4 = load32le src (pos + cur) in
+        let h = hash_of cur4 in
         let best_len = ref 0 in
         let best_dist = ref 0 in
         let cand = ref (head.(h) - base) in
@@ -144,9 +163,13 @@ let compress_sub ?scratch:ws src ~pos ~len =
         while !cand >= 0 && !tries > 0 do
           if cur - !cand > max_dist then cand := -1
           else begin
-            (* cheap reject: a longer match must extend past best_len *)
+            (* cheap rejects: only a match of at least [min_match] bytes
+               is ever emitted, so a candidate whose first 4 bytes differ
+               cannot win; a longer match must also extend past
+               best_len *)
             if
-              cur + !best_len < len
+              load32le src (pos + !cand) = cur4
+              && cur + !best_len < len
               && ( !best_len = 0
                  || Bytes.unsafe_get src (pos + !cand + !best_len)
                     = Bytes.unsafe_get src (pos + cur + !best_len) )
@@ -264,13 +287,20 @@ let decompress_sub src ~pos ~len =
         in
         if dist = 0 || dist > !op then err "match distance %d at offset %d" dist !op;
         if !op + mlen > raw_len then err "match run past output end";
-        (* byte-wise copy: correct for overlapping matches (dist < mlen) *)
-        let from = ref (!op - dist) in
-        for _ = 1 to mlen do
-          Bytes.unsafe_set out !op (Bytes.unsafe_get out !from);
-          incr op;
-          incr from
-        done
+        if dist >= mlen then begin
+          Bytes.blit out (!op - dist) out !op mlen;
+          op := !op + mlen
+        end
+        else begin
+          (* overlapping match (dist < mlen): copy byte-wise so each
+             byte reads one already written by this same run *)
+          let from = ref (!op - dist) in
+          for _ = 1 to mlen do
+            Bytes.unsafe_set out !op (Bytes.unsafe_get out !from);
+            incr op;
+            incr from
+          done
+        end
       end
     done;
     if !op <> raw_len then err "block decoded %d bytes, header said %d" !op raw_len;

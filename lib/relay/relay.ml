@@ -383,6 +383,9 @@ let stats t : (string * int) list =
            ; ( Printf.sprintf "store.%s.comp_stored" s
              , Store.comp_stored_bytes st ) ]
          else [])
+        @ (if Store.inflates st > 0 then
+             [ (Printf.sprintf "store.%s.inflates" s, Store.inflates st) ]
+           else [])
         @ acc)
       t.stores []
 
@@ -746,7 +749,8 @@ let rec gauge_tick (t : t) =
       if Store.comp_raw_bytes st > 0 then begin
         g "comp_raw" (Store.comp_raw_bytes st);
         g "comp_stored" (Store.comp_stored_bytes st)
-      end)
+      end;
+      if Store.inflates st > 0 then g "inflates" (Store.inflates st))
     t.stores;
   Governor.note_tick t.governor ~now:(Unix.gettimeofday ());
   Counters.set t.counters "governor_used_bytes" (Governor.used t.governor);

@@ -83,6 +83,20 @@ type seg = {
   mutable s_sealed_at : float; (* mtime proxy for age retention *)
 }
 
+(* The last compressed sealed segment a read inflated, with a resume
+   cursor: the record at region byte [z_pos] has stream offset [z_off].
+   A chunked replay reads one segment in many small ranges; each range
+   continues from the cursor instead of re-reading and re-inflating the
+   file. Sealed compressed segments never change and [z_region] is
+   never written after inflation, so slices already handed out stay
+   valid when the entry moves on. *)
+type inflated = {
+  z_seg : seg; (* key, by physical identity *)
+  z_region : Bytes.t;
+  mutable z_off : int;
+  mutable z_pos : int;
+}
+
 type t = {
   cfg : config;
   name : string;
@@ -93,7 +107,8 @@ type t = {
   mutable meta_kvs : (string * string) list;
   seen_desc : (string, unit) Hashtbl.t;
   mutable descs_rev : Bytes.t list;
-  mutable segs : seg list; (* ascending base; last is the tail *)
+  sealed : seg Queue.t; (* ascending base; every segment but the tail *)
+  mutable tail_seg : seg;
   mutable tail_fd : Unix.file_descr;
   mutable tail_off : int; (* next offset *)
   mutable durable_ : int;
@@ -104,6 +119,8 @@ type t = {
       (** record-region bytes fed to segment compression this run *)
   mutable comp_stored : int;
       (** what those regions occupy on disk after sealing *)
+  mutable inflates : int;  (** compressed segments inflated by reads *)
+  mutable zcache : inflated option;
   mutable closed : bool;
   mutable wbuf : Bytes.t;
       (** reusable record-staging buffer: header + body are framed here
@@ -460,46 +477,37 @@ let load_segments t =
   match names with
   | [] ->
     let seg, fd = create_segment t 0 in
-    t.segs <- [ seg ];
+    t.tail_seg <- seg;
     t.tail_fd <- fd;
     t.tail_off <- 0
   | names ->
     let arr = Array.of_list names in
     let n = Array.length arr in
-    let segs = ref [] in
-    for i = n - 1 downto 0 do
+    let seg_of i =
       let base, name = arr.(i) in
       let path = Filename.concat t.dir name in
       let st = Unix.stat path in
-      let count =
+      {
+        s_base = base;
+        s_path = path;
         (* sealed: dense offsets make the count pure filename
            arithmetic; the tail (-1) is scanned by recover_tail *)
-        if i + 1 < n then fst arr.(i + 1) - base else -1
-      in
-      if i + 1 < n && count <= 0 then
-        store_error "%s: segment bases out of order" path;
-      segs :=
-        {
-          s_base = base;
-          s_path = path;
-          s_count = count;
-          s_size = st.Unix.st_size;
-          s_index = [];
-          s_sealed_at = st.Unix.st_mtime;
-        }
-        :: !segs
-    done;
-    let rec split_last = function
-      | [] -> assert false
-      | [ x ] -> ([], x)
-      | x :: rest ->
-        let sealed, last = split_last rest in
-        (x :: sealed, last)
+        s_count = (if i + 1 < n then fst arr.(i + 1) - base else -1);
+        s_size = st.Unix.st_size;
+        s_index = [];
+        s_sealed_at = st.Unix.st_mtime;
+      }
     in
-    let sealed, tail_seg = split_last !segs in
+    for i = 0 to n - 2 do
+      let seg = seg_of i in
+      if seg.s_count <= 0 then
+        store_error "%s: segment bases out of order" seg.s_path;
+      Queue.add seg t.sealed
+    done;
+    let tail_seg = seg_of (n - 1) in
     (match recover_tail t tail_seg with
     | `Recovered count ->
-      t.segs <- sealed @ [ tail_seg ];
+      t.tail_seg <- tail_seg;
       t.tail_off <- tail_seg.s_base + count;
       t.tail_fd <-
         Unix.openfile tail_seg.s_path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
@@ -513,7 +521,7 @@ let load_segments t =
       t.truncated <- t.truncated + sz;
       Unix.unlink tail_seg.s_path;
       let seg, fd = create_segment t tail_seg.s_base in
-      t.segs <- sealed @ [ seg ];
+      t.tail_seg <- seg;
       t.tail_off <- seg.s_base;
       t.tail_fd <- fd)
 
@@ -522,15 +530,20 @@ let load_segments t =
 let stream t = t.name
 let tail t = t.tail_off
 let durable t = t.durable_
-let oldest t = match t.segs with [] -> 0 | s :: _ -> s.s_base
-let segments t = List.length t.segs
-let bytes t = List.fold_left (fun a s -> a + s.s_size) 0 t.segs
+let oldest t =
+  match Queue.peek_opt t.sealed with
+  | Some s -> s.s_base
+  | None -> t.tail_seg.s_base
+
+let segments t = Queue.length t.sealed + 1
+let bytes t = Queue.fold (fun a s -> a + s.s_size) t.tail_seg.s_size t.sealed
 let schema t = t.schema_
 let meta t = t.meta_kvs
 let descriptors t = List.rev t.descs_rev
 let truncated_bytes t = t.truncated
 let comp_raw_bytes t = t.comp_raw
 let comp_stored_bytes t = t.comp_stored
+let inflates t = t.inflates
 
 let check_open t = if t.closed then store_error "stream %S: closed" t.name
 
@@ -553,32 +566,27 @@ let apply_retention t =
   let deleted = ref 0 in
   let now = Unix.gettimeofday () in
   let excess () =
-    match t.segs with
-    | [] | [ _ ] -> false (* never delete the tail *)
-    | oldest_seg :: _ ->
-      (t.cfg.retain_segments > 0 && List.length t.segs > t.cfg.retain_segments)
+    match Queue.peek_opt t.sealed with
+    | None -> false (* never delete the tail *)
+    | Some oldest_seg ->
+      (t.cfg.retain_segments > 0 && segments t > t.cfg.retain_segments)
       || (t.cfg.retain_bytes > 0 && bytes t > t.cfg.retain_bytes)
       || t.cfg.retain_age > 0.
          && now -. oldest_seg.s_sealed_at > t.cfg.retain_age
   in
   while excess () do
-    match t.segs with
-    | old :: rest ->
-      (try Unix.unlink old.s_path with Unix.Unix_error _ -> ());
-      t.segs <- rest;
-      incr deleted;
-      Log.info (fun m ->
-          m "stream %S: retention dropped segment %s (%d records)" t.name
-            (Filename.basename old.s_path) old.s_count)
-    | [] -> assert false
+    let old = Queue.pop t.sealed in
+    (try Unix.unlink old.s_path with Unix.Unix_error _ -> ());
+    (match t.zcache with
+    | Some z when z.z_seg == old -> t.zcache <- None
+    | Some _ | None -> ());
+    incr deleted;
+    Log.info (fun m ->
+        m "stream %S: retention dropped segment %s (%d records)" t.name
+          (Filename.basename old.s_path) old.s_count)
   done;
   if !deleted > 0 then fsync_dir t.dir;
   !deleted
-
-let tail_seg t =
-  match List.rev t.segs with
-  | last :: _ -> last
-  | [] -> store_error "stream %S: no tail segment" t.name
 
 (* Rewrite a freshly sealed segment as one compressed block. Crash-safe
    by ordering: the caller has already created the new tail, so if this
@@ -640,10 +648,11 @@ let roll t =
   t.dirty <- false;
   t.unsynced <- 0;
   t.durable_ <- t.tail_off;
-  let sealed = tail_seg t in
+  let sealed = t.tail_seg in
   sealed.s_sealed_at <- Unix.gettimeofday ();
   let seg, fd = create_segment t t.tail_off in
-  t.segs <- t.segs @ [ seg ];
+  Queue.add sealed t.sealed;
+  t.tail_seg <- seg;
   t.tail_fd <- fd;
   if t.cfg.compress then compress_sealed t sealed;
   ignore (apply_retention t)
@@ -654,9 +663,9 @@ let append_slice t (frame : Slice.t) =
   if Slice.length frame > max_record then
     store_error "stream %S: frame of %d bytes exceeds record limit" t.name
       (Slice.length frame);
-  if (tail_seg t).s_size >= t.cfg.segment_bytes && (tail_seg t).s_count > 0
+  if t.tail_seg.s_size >= t.cfg.segment_bytes && t.tail_seg.s_count > 0
   then roll t;
-  let seg = tail_seg t in
+  let seg = t.tail_seg in
   if seg.s_count mod t.cfg.index_every = 0 then
     seg.s_index <- (t.tail_off, seg.s_size) :: seg.s_index;
   let written = write_record t t.tail_fd frame in
@@ -715,11 +724,14 @@ let set_meta t kvs =
     append_meta t body
   end
 
-(* Reading: per call we open a fresh read-only fd per segment, seek to
-   the nearest sparse-index entry at or below the requested offset, and
-   skip forward. Records actually delivered are CRC-checked. Compressed
-   sealed segments (magic sniffed per open) are instead inflated whole —
-   they are bounded by [segment_bytes] — and iterated from memory. *)
+(* Reading. A plain segment is read per call through a fresh read-only
+   fd: seek to the nearest sparse-index entry at or below the requested
+   offset, skip forward, then read windows of records. A compressed
+   sealed segment (magic sniffed per open) is inflated whole — it is
+   bounded by [segment_bytes] — into the one-entry {!inflated} cache and
+   iterated from memory, so a replay inflates each compressed segment
+   once however many ranges it reads it in. Records actually delivered
+   are CRC-checked on both paths. *)
 
 let seg_kind t (seg : seg) fd =
   let m = Bytes.create magic_len in
@@ -741,6 +753,7 @@ let inflate_seg t (seg : seg) fd : Bytes.t =
   if read_exact fd blob 0 zlen < zlen then
     store_error "stream %S: truncated segment %s" t.name
       (Filename.basename seg.s_path);
+  t.inflates <- t.inflates + 1;
   match Compress.decompress blob with
   | region -> region
   | exception Compress.Error msg ->
@@ -748,210 +761,164 @@ let inflate_seg t (seg : seg) fd : Bytes.t =
       (Filename.basename seg.s_path) msg
 
 (* Walk an inflated record region (record [i] lives at stream offset
-   [seg.s_base + i]); the slices handed out view the freshly inflated
-   buffer, so they stay valid after this returns. *)
-let iter_region t (seg : seg) (region : Bytes.t) ~from ~upto
-    (f : int -> Slice.t -> unit) =
+   [seg.s_base + i]) from its cursor, or from the start when the cursor
+   is already past [from], delivering [[from, seg_end)] and leaving the
+   cursor on the next record. *)
+let iter_region t (z : inflated) ~from ~seg_end (f : int -> Slice.t -> unit) =
+  let region = z.z_region in
   let size = Bytes.length region in
-  let seg_end = min upto (seg.s_base + seg.s_count) in
   let corrupt p =
     store_error "stream %S: corrupt record at %s byte %d" t.name
-      (Filename.basename seg.s_path) (p + magic_len)
+      (Filename.basename z.z_seg.s_path) (p + magic_len)
   in
-  let off = ref seg.s_base and pos = ref 0 in
-  while !off < seg_end do
-    if !pos + header_len > size then corrupt !pos;
-    let len = get_u32 region !pos and crc = get_u32 region (!pos + 4) in
-    if len < 1 || len > max_record || !pos + header_len + len > size then
-      corrupt !pos;
-    if !off >= from then begin
-      if Omf_util.Crc32.digest region ~pos:(!pos + header_len) ~len <> crc
-      then corrupt !pos;
-      f !off (Slice.make region (!pos + header_len) len)
-    end;
-    pos := !pos + header_len + len;
-    incr off
+  if z.z_off > from then begin
+    z.z_off <- z.z_seg.s_base;
+    z.z_pos <- 0
+  end;
+  while z.z_off < seg_end do
+    let off = z.z_off and pos = z.z_pos in
+    if pos + header_len > size then corrupt pos;
+    let len = get_u32 region pos and crc = get_u32 region (pos + 4) in
+    if len < 1 || len > max_record || pos + header_len + len > size then
+      corrupt pos;
+    z.z_off <- off + 1;
+    z.z_pos <- pos + header_len + len;
+    if off >= from then begin
+      if Omf_util.Crc32.digest region ~pos:(pos + header_len) ~len <> crc then
+        corrupt pos;
+      f off (Slice.make region (pos + header_len) len)
+    end
   done
 
-let iter_seg t (seg : seg) ~from f =
-  if from < seg.s_base + seg.s_count then begin
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        match seg_kind t seg fd with
-        | `Compressed ->
-          let region = inflate_seg t seg fd in
-          iter_region t seg region ~from ~upto:max_int (fun off body ->
-              (* bytes-callback contract: each body is a private copy *)
-              f off (Slice.to_bytes body))
-        | `Plain ->
-        let size = seg.s_size in
-        let start_off, start_pos =
-          (* s_index is descending; find the first entry <= from *)
-          let rec find = function
-            | [] -> (seg.s_base, magic_len)
-            | (o, p) :: rest -> if o <= from then (o, p) else find rest
-          in
-          find seg.s_index
-        in
-        let off = ref start_off and pos = ref start_pos in
-        (* skip to [from] without reading bodies *)
-        while !off < from do
-          match skip_record fd ~size !pos with
-          | `Next p ->
-            pos := p;
-            incr off
-          | `Bad p ->
-            store_error "stream %S: corrupt record at %s byte %d" t.name
-              (Filename.basename seg.s_path) p
-        done;
-        let seg_end = seg.s_base + seg.s_count in
-        while !off < seg_end do
-          match scan_record fd ~path:seg.s_path ~size !pos with
-          | `Record (body, next) ->
-            f !off body;
-            pos := next;
-            incr off
-          | `Eof | `Bad _ ->
-            store_error "stream %S: corrupt record at %s byte %d" t.name
-              (Filename.basename seg.s_path) !pos
-        done)
-  end
-
-let iter_from t from f =
-  check_open t;
-  let from = max from (oldest t) in
-  if from < t.tail_off then
-    List.iter
-      (fun seg ->
-        if seg.s_base + seg.s_count > from then
-          iter_seg t seg ~from:(max from seg.s_base) f)
-      t.segs
-
-exception Range_done
-
-let iter_range t from upto f =
-  check_open t;
-  let from = max from (oldest t) in
-  let upto = min upto t.tail_off in
-  if from < upto then
-    try
-      List.iter
-        (fun seg ->
-          if seg.s_base >= upto then raise Range_done;
-          if seg.s_base + seg.s_count > from then
-            iter_seg t seg ~from:(max from seg.s_base) (fun off body ->
-                if off >= upto then raise Range_done;
-                f off body))
-        t.segs
-    with Range_done -> ()
-
-(* Slice replay: instead of one fresh body buffer per record, read a
-   span of the segment file into one buffer and hand out CRC-checked
-   sub-slices — a replay chunk costs one allocation per [fill_bytes]
-   window, not one per frame. Each window is a {e fresh} buffer (never
-   reused), because the slices handed to [f] are typically queued on
-   connection write queues and must stay valid after this returns. *)
+(* Plain segments: instead of one fresh body buffer per record, read a
+   span of the file into one buffer and hand out CRC-checked
+   sub-slices — a range costs one allocation per [fill_bytes] window,
+   not one per frame. Each window is a {e fresh} buffer (never reused),
+   because the slices handed to [f] are typically queued on connection
+   write queues and must stay valid after this returns. *)
 
 let fill_bytes = 256 * 1024
 
-let iter_seg_slices t (seg : seg) ~from ~upto
-    (f : int -> Slice.t -> unit) =
-  let seg_end = min upto (seg.s_base + seg.s_count) in
-  if from < seg_end then begin
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        match seg_kind t seg fd with
-        | `Compressed ->
-          iter_region t seg (inflate_seg t seg fd) ~from ~upto f
-        | `Plain ->
-        let size = seg.s_size in
-        let corrupt p =
-          store_error "stream %S: corrupt record at %s byte %d" t.name
-            (Filename.basename seg.s_path) p
-        in
-        let start_off, start_pos =
-          let rec find = function
-            | [] -> (seg.s_base, magic_len)
-            | (o, p) :: rest -> if o <= from then (o, p) else find rest
-          in
-          find seg.s_index
-        in
-        let off = ref start_off and pos = ref start_pos in
-        while !off < from do
-          match skip_record fd ~size !pos with
-          | `Next p ->
-            pos := p;
-            incr off
-          | `Bad p -> corrupt p
-        done;
-        while !off < seg_end do
-          let want = min fill_bytes (size - !pos) in
-          if want < header_len then corrupt !pos;
-          let buf = Bytes.create want in
-          ignore (Unix.lseek fd !pos Unix.SEEK_SET);
-          let got = read_exact fd buf 0 want in
-          if got < header_len then corrupt !pos;
-          let p = ref 0 in
-          let progressed = ref false in
-          (try
-             while !off < seg_end && !p + header_len <= got do
-               let len = get_u32 buf !p and crc = get_u32 buf (!p + 4) in
-               if
-                 len < 1 || len > max_record
-                 || !pos + !p + header_len + len > size
-               then corrupt (!pos + !p);
-               if !p + header_len + len > got then
-                 (* crosses the window boundary: refill from here *)
-                 raise Exit;
-               if Omf_util.Crc32.digest buf ~pos:(!p + header_len) ~len <> crc
-               then corrupt (!pos + !p);
-               f !off (Slice.make buf (!p + header_len) len);
-               progressed := true;
-               p := !p + header_len + len;
-               incr off
-             done
-           with Exit -> ());
-          pos := !pos + !p;
-          if not !progressed then begin
-            (* a record larger than the fill window: read it exactly *)
-            let len = get_u32 buf 0 and crc = get_u32 buf 4 in
-            let big = Bytes.create len in
-            ignore (Unix.lseek fd (!pos + header_len) Unix.SEEK_SET);
-            if read_exact fd big 0 len < len then corrupt !pos;
-            if Omf_util.Crc32.digest big ~pos:0 ~len <> crc then corrupt !pos;
-            f !off (Slice.of_bytes big);
-            pos := !pos + header_len + len;
-            incr off
-          end
-        done)
-  end
+let iter_plain t (seg : seg) fd ~from ~seg_end (f : int -> Slice.t -> unit) =
+  let size = seg.s_size in
+  let corrupt p =
+    store_error "stream %S: corrupt record at %s byte %d" t.name
+      (Filename.basename seg.s_path) p
+  in
+  let start_off, start_pos =
+    (* s_index is descending; find the first entry <= from *)
+    let rec find = function
+      | [] -> (seg.s_base, magic_len)
+      | (o, p) :: rest -> if o <= from then (o, p) else find rest
+    in
+    find seg.s_index
+  in
+  let off = ref start_off and pos = ref start_pos in
+  (* skip to [from] without reading bodies *)
+  while !off < from do
+    match skip_record fd ~size !pos with
+    | `Next p ->
+      pos := p;
+      incr off
+    | `Bad p -> corrupt p
+  done;
+  while !off < seg_end do
+    let want = min fill_bytes (size - !pos) in
+    if want < header_len then corrupt !pos;
+    let buf = Bytes.create want in
+    ignore (Unix.lseek fd !pos Unix.SEEK_SET);
+    let got = read_exact fd buf 0 want in
+    if got < header_len then corrupt !pos;
+    let p = ref 0 in
+    let progressed = ref false in
+    (try
+       while !off < seg_end && !p + header_len <= got do
+         let len = get_u32 buf !p and crc = get_u32 buf (!p + 4) in
+         if len < 1 || len > max_record || !pos + !p + header_len + len > size
+         then corrupt (!pos + !p);
+         if !p + header_len + len > got then
+           (* crosses the window boundary: refill from here *)
+           raise Exit;
+         if Omf_util.Crc32.digest buf ~pos:(!p + header_len) ~len <> crc then
+           corrupt (!pos + !p);
+         f !off (Slice.make buf (!p + header_len) len);
+         progressed := true;
+         p := !p + header_len + len;
+         incr off
+       done
+     with Exit -> ());
+    pos := !pos + !p;
+    if not !progressed then begin
+      (* a record larger than the fill window: read it exactly *)
+      let len = get_u32 buf 0 and crc = get_u32 buf 4 in
+      let big = Bytes.create len in
+      ignore (Unix.lseek fd (!pos + header_len) Unix.SEEK_SET);
+      if read_exact fd big 0 len < len then corrupt !pos;
+      if Omf_util.Crc32.digest big ~pos:0 ~len <> crc then corrupt !pos;
+      f !off (Slice.of_bytes big);
+      pos := !pos + header_len + len;
+      incr off
+    end
+  done
 
-(** {!iter_range} delivering bodies as slices into shared read
-    buffers; the relay's chunked stored replay enqueues them without
-    copying (doc/STORE.md). *)
+(* Deliver [[from, min upto seg_end)] of one segment: from the cache
+   when it holds this segment, else by opening the file — which, for a
+   compressed segment, inflates it into the cache first. *)
+let iter_seg t (seg : seg) ~from ~upto (f : int -> Slice.t -> unit) =
+  let seg_end = min upto (seg.s_base + seg.s_count) in
+  if from < seg_end then
+    let cached =
+      match t.zcache with
+      | Some z when z.z_seg == seg -> Some z
+      | Some _ | None ->
+        let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            match seg_kind t seg fd with
+            | `Compressed ->
+              let z =
+                { z_seg = seg; z_region = inflate_seg t seg fd
+                ; z_off = seg.s_base; z_pos = 0 }
+              in
+              t.zcache <- Some z;
+              Some z
+            | `Plain ->
+              iter_plain t seg fd ~from ~seg_end f;
+              None)
+    in
+    Option.iter (fun z -> iter_region t z ~from ~seg_end f) cached
+
+exception Range_done
+
+(** {!iter_from} bounded above, delivering bodies as slices into shared
+    read buffers; the relay's chunked stored replay enqueues them
+    without copying (doc/STORE.md). *)
 let iter_range_slices t from upto (f : int -> Slice.t -> unit) =
   check_open t;
   let from = max from (oldest t) in
   let upto = min upto t.tail_off in
+  let visit seg =
+    if seg.s_base >= upto then raise Range_done;
+    if seg.s_base + seg.s_count > from then
+      iter_seg t seg ~from:(max from seg.s_base) ~upto f
+  in
   if from < upto then
     try
-      List.iter
-        (fun seg ->
-          if seg.s_base >= upto then raise Range_done;
-          if seg.s_base + seg.s_count > from then
-            iter_seg_slices t seg ~from:(max from seg.s_base) ~upto f)
-        t.segs
+      Queue.iter visit t.sealed;
+      visit t.tail_seg
     with Range_done -> ()
+
+let iter_from t from f =
+  (* bytes-callback contract: each body is a private copy *)
+  iter_range_slices t from max_int (fun off body -> f off (Slice.to_bytes body))
 
 let close t =
   if not t.closed then begin
     (try ignore (do_sync t) with Store_error _ -> ());
     (try Unix.close t.tail_fd with Unix.Unix_error _ -> ());
     (try Unix.close t.meta_fd with Unix.Unix_error _ -> ());
+    t.zcache <- None;
     t.closed <- true
   end
 
@@ -969,7 +936,11 @@ let open_stream cfg name =
       meta_kvs = [];
       seen_desc = Hashtbl.create 8;
       descs_rev = [];
-      segs = [];
+      sealed = Queue.create ();
+      tail_seg =
+        (* replaced by load_segments *)
+        { s_base = 0; s_path = ""; s_count = 0; s_size = 0; s_index = []
+        ; s_sealed_at = 0. };
       tail_fd = Unix.stdin;
       tail_off = 0;
       durable_ = 0;
@@ -978,6 +949,8 @@ let open_stream cfg name =
       truncated = 0;
       comp_raw = 0;
       comp_stored = 0;
+      inflates = 0;
+      zcache = None;
       closed = false;
       wbuf = Bytes.create 4096;
     }
@@ -989,7 +962,7 @@ let open_stream cfg name =
   t.durable_ <- t.tail_off;
   Log.debug (fun m ->
       m "stream %S: opened at offset %d (%d segments%s)" t.name t.tail_off
-        (List.length t.segs)
+        (segments t)
         (if t.truncated > 0 then
            Printf.sprintf ", %d torn bytes truncated" t.truncated
          else ""));

@@ -107,20 +107,20 @@ val iter_from : t -> int -> (int -> Bytes.t -> unit) -> unit
     message in [[max from (oldest t), tail t)], in order. Raises
     {!Store_error} if a sealed record fails its CRC. *)
 
-val iter_range : t -> int -> int -> (int -> Bytes.t -> unit) -> unit
-(** [iter_range t from upto f] is {!iter_from} bounded above:
-    [f offset frame] for every stored message in
-    [[max from (oldest t), min upto (tail t))]. This is the chunked
-    replay primitive — a reader chasing the tail pulls a bounded slice
-    per reactor writable callback instead of the whole suffix. *)
-
 val iter_range_slices :
   t -> int -> int -> (int -> Omf_util.Slice.t -> unit) -> unit
-(** {!iter_range} delivering each body as a slice into a shared
-    segment read buffer: one ~256 KiB buffer allocation per window of
-    records instead of one buffer per record. Buffers are fresh per
-    window (never reused), so the slices stay valid after the call —
-    the relay enqueues them on subscriber write queues as-is. *)
+(** [iter_range_slices t from upto f] is {!iter_from} bounded above —
+    [f offset body] for every stored message in
+    [[max from (oldest t), min upto (tail t))] — with each body a slice
+    into a shared read buffer. This is the chunked replay primitive: a
+    reader chasing the tail pulls a bounded range per reactor writable
+    callback instead of the whole suffix. Plain segments are read in
+    ~256 KiB windows, one fresh buffer per window. A compressed sealed
+    segment is inflated once into a one-entry cache that remembers
+    where the last range stopped, so consecutive ranges through it
+    neither re-inflate nor rewalk it ({!inflates}). Buffers are never
+    reused or mutated, so the slices stay valid after the call — the
+    relay enqueues them on subscriber write queues as-is. *)
 
 val schema : t -> string option
 
@@ -152,6 +152,13 @@ val comp_raw_bytes : t -> int
 val comp_stored_bytes : t -> int
 (** What those regions occupy on disk after sealing — compare with
     {!comp_raw_bytes} for the achieved ratio. *)
+
+val inflates : t -> int
+(** Compressed sealed segments inflated by reads since this handle
+    opened; the relay's [store.<stream>.inflates] gauge. One full replay
+    inflates each compressed segment once; two replays reading
+    different segments at the same time alternate the cache and
+    inflate per range. *)
 
 val apply_retention : t -> int
 (** Enforce retention limits now; returns segments deleted. Also runs

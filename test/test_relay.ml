@@ -444,13 +444,21 @@ let test_64_subscribers_zero_loss_in_order () =
 (* ------------------------------------------------------------------ *)
 
 (* a subscriber that never reads; ~64 KiB events overwhelm the socket
-   buffers (SO_SNDBUF forced small) and then the bounded queue *)
+   buffers (SO_SNDBUF forced small) and then the bounded queue.
+
+   The publisher is paced by the reading consumer's progress, not by
+   the clock. With an 8 KiB send buffer every 64 KiB frame leaves the
+   relay in socket-buffer-sized writes, and the reader's kernel may hold
+   its ACK for its ~40 ms delayed-ACK timer before the relay can write
+   again: the reading consumer then drains only a few frames per 40 ms.
+   A fixed publish interval could outrun that for longer than the grace
+   window and evict the reading consumer as well. Staying at most
+   [lead] frames ahead of it keeps its relay queue below the watermark
+   however slowly its socket drains. *)
 let test_evict_slow_consumer () =
+  let max_queue = 8 in
   let h =
-    (* the grace window needs slack over the publish pacing below: under
-       a loaded test host the reading consumer's backlog can take a few
-       hundred ms to drain, and it must never be the one evicted *)
-    Relay.start ~policy:Relay.Evict_slow ~max_queue:8 ~evict_grace_s:0.75
+    Relay.start ~policy:Relay.Evict_slow ~max_queue ~evict_grace_s:0.75
       ~sndbuf:8192 ()
   in
   let port = Relay.port (Relay.relay h) in
@@ -459,8 +467,9 @@ let test_evict_slow_consumer () =
   let stalled = Relay.Client.connect ~port () in
   ignore (Relay.Client.subscribe stalled ~stream:"flights");
   let nevents = 80 in
-  let healthy_done = ref false in
-  let healthy_count = ref 0 in
+  let lead = max_queue / 2 in
+  let healthy_done = Atomic.make false in
+  let healthy_count = Atomic.make 0 in
   let healthy =
     Thread.create
       (fun () ->
@@ -470,29 +479,45 @@ let test_evict_slow_consumer () =
             match Relay.recv consumer with
             | None -> ()
             | Some (_, v) ->
-              incr healthy_count;
+              Atomic.incr healthy_count;
               go (seq_of v)
         in
         go (-1);
-        healthy_done := true;
+        Atomic.set healthy_done true;
         Relay.close_consumer consumer)
       ()
   in
   ignore (wait_stat ~port "stream.flights.subscribers" 2);
+  let deadline = Unix.gettimeofday () +. 30.0 in
   for seq = 0 to nevents - 1 do
-    publish sender fmt ~pad:65536 seq;
-    (* pace the burst so the reading consumer's transient backlog
-       stays well inside the eviction grace window; the stalled one
-       (whose socket buffers fill no matter what) stays over the
-       watermark for the whole window and is evicted *)
-    Thread.delay 0.002
+    (* publish [seq] only once that leaves at most [lead] frames the
+       reading consumer has not received, so fewer than [max_queue] of
+       them can be queued for it at the relay *)
+    while
+      seq + 1 - Atomic.get healthy_count > lead
+      && not (Atomic.get healthy_done)
+    do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "reading consumer stuck at %d of %d events"
+          (Atomic.get healthy_count) seq;
+      Thread.delay 0.001
+    done;
+    publish sender fmt ~pad:65536 seq
   done;
   Thread.join healthy;
   ignore (wait_stat ~port "subscribers_evicted" 1);
-  check bool "healthy subscriber unaffected" true !healthy_done;
-  check int "healthy subscriber got every event" nevents !healthy_count;
+  check bool "healthy subscriber unaffected" true (Atomic.get healthy_done);
+  check int "healthy subscriber got every event" nevents
+    (Atomic.get healthy_count);
   check int "stalled subscriber evicted" 1
     (wait_stat ~port "subscribers_evicted" 1);
+  (* the reading consumer has closed, so no later eviction can be
+     pending: the stalled one was the only one *)
+  let c = Relay.Client.connect ~port () in
+  check int "exactly one subscriber evicted" 1
+    (Option.value ~default:0
+       (List.assoc_opt "subscribers_evicted" (Relay.Client.stats c)));
+  Relay.Client.close c;
   Relay.Client.close stalled;
   Relay.Client.close pub
 
