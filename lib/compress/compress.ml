@@ -244,7 +244,18 @@ let decompress_sub src ~pos ~len =
     if len < 5 then err "truncated lz header (%d bytes)" len;
     let b k = Char.code (Bytes.unsafe_get src (pos + k)) in
     let raw_len = (b 1 lsl 24) lor (b 2 lsl 16) lor (b 3 lsl 8) lor b 4 in
-    if raw_len > max_block_len then err "block claims %d bytes" raw_len;
+    (* Check the claim against what the [len - 5] token-stream bytes can
+       produce before allocating for it. A sequence whose match length
+       takes k extension bytes (k = 0 when the nibble is < 15) costs at
+       least 3 + k input bytes (token, 2-byte distance, extension) and
+       yields at most 4 + 15 + 255 k output bytes (each extension byte
+       but the last adds 255, the last at most 254): 255 k + 18 <=
+       255 (3 + k). Its literals cost one input byte each and yield one,
+       and their extension bytes only add input. So no block yields more
+       than 255 output bytes per token-stream byte, and a header that
+       claims more is corrupt whatever follows it. *)
+    if raw_len > max_block_len || raw_len > 255 * (len - 5) then
+      err "block claims %d bytes from %d" raw_len len;
     let out = Bytes.create raw_len in
     let iend = pos + len in
     let ip = ref (pos + 5) in

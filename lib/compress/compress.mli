@@ -24,7 +24,10 @@
 
     The decoder bounds-checks every read and write and raises [Error]
     on any malformed block — truncated stream, bad tag, distance past
-    the output start, or a length that disagrees with the header. *)
+    the output start, or a length that disagrees with the header. A
+    header claiming more than 255 bytes per token-stream byte, more
+    than any block can produce, is refused before the output buffer is
+    allocated. *)
 
 exception Error of string
 (** Malformed compressed block. *)

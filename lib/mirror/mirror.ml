@@ -128,6 +128,11 @@ type t = {
       (** the mirror's own span ring (shard [-1], distinguishing its
           spans from relay shards in merged exports) *)
   mu : Mutex.t;  (** guards [links] (manager vs. stop) *)
+  frames_replicated : Counters.counter;
+  descriptors_replicated : Counters.counter;
+  replicate_us : Counters.histogram;
+      (** per-frame series, resolved once: the pump updates them with
+          no lock, hashing or string formatting *)
   links : (string, link_state) Hashtbl.t;
   mutable manager : Thread.t option;
   mutable stopped : bool;
@@ -140,12 +145,9 @@ let trace_spans (t : t) : Trace.span list =
   match t.trace_col with None -> [] | Some col -> Trace.spans col
 
 let link_frames (t : t) : (string * int) list =
-  Mutex.lock t.mu;
-  let l =
-    Hashtbl.fold (fun s ls acc -> (s, ls.l_replicated) :: acc) t.links []
-  in
-  Mutex.unlock t.mu;
-  List.sort compare l
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.fold (fun s ls acc -> (s, ls.l_replicated) :: acc) t.links [])
+  |> List.sort compare
 
 (** Interruptible sleep: wakes within 50ms of a stop request. *)
 let nap (t : t) (ls : link_state option) (secs : float) =
@@ -272,7 +274,7 @@ let replicate_once (t : t) (ls : link_state) : session_end =
             Trace.record col ~trace:ctx.Trace.trace_id
               ~parent:ctx.Trace.span_id ~stage:"mirror_replicate" ~stream
               ~start_us:t0 ~dur_us:dur;
-            Counters.observe t.counters "stage_us.mirror_replicate" dur
+            Counters.record t.replicate_us dur
           end
         | _ -> Link.send local_link frame
       in
@@ -285,14 +287,14 @@ let replicate_once (t : t) (ls : link_state) : session_end =
                  && Char.equal (Bytes.get frame 0) Endpoint.frame_descriptor
             ->
             Link.send local_link frame;
-            Counters.incr t.counters "descriptors_replicated";
+            Counters.add t.descriptors_replicated 1;
             pump ()
           | Some frame
             when Bytes.length frame > 0
                  && Char.equal (Bytes.get frame 0) Endpoint.frame_message ->
             send_traced frame;
             ls.l_replicated <- ls.l_replicated + 1;
-            Counters.incr t.counters "frames_replicated";
+            Counters.add t.frames_replicated 1;
             pump ()
           | Some _ -> pump ()
           | None -> Lost true
@@ -392,22 +394,17 @@ let scan (t : t) =
   let src = connect_source t.cfg in
   Fun.protect ~finally:(fun () -> Client.close src) @@ fun () ->
   let streams = Client.list_streams src |> List.filter (wanted t.cfg) in
-  Mutex.lock t.mu;
   let to_spawn =
-    List.filter
-      (fun s ->
-        match Hashtbl.find_opt t.links s with
-        | None -> not t.stopped
-        | Some ls -> ls.l_done && (not ls.l_promoted) && not t.stopped)
-      streams
+    Mutex.protect t.mu (fun () ->
+        List.filter
+          (fun s ->
+            match Hashtbl.find_opt t.links s with
+            | None -> not t.stopped
+            | Some ls -> ls.l_done && (not ls.l_promoted) && not t.stopped)
+          streams)
   in
-  Mutex.unlock t.mu;
-  List.iter
-    (fun s ->
-      Mutex.lock t.mu;
-      spawn_link t s;
-      Mutex.unlock t.mu)
-    to_spawn;
+  (* protected: a failing Thread.create must not leave [t.mu] held *)
+  List.iter (fun s -> Mutex.protect t.mu (fun () -> spawn_link t s)) to_spawn;
   (* replication lag: source tail minus local tail, per linked stream.
      The gauge names follow the <group>.<subject>.<metric> convention,
      so /metrics renders them as
@@ -447,10 +444,15 @@ let manager_loop (t : t) =
 (* ------------------------------------------------------------------ *)
 
 let start (cfg : config) : t =
+  let counters = Counters.create () in
   let t =
-    { cfg; counters = Counters.create ()
+    { cfg; counters
     ; trace_col = Option.map (fun s -> Trace.collector ~shard:(-1) s) cfg.trace
     ; mu = Mutex.create ()
+    ; frames_replicated = Counters.counter counters "frames_replicated"
+    ; descriptors_replicated =
+        Counters.counter counters "descriptors_replicated"
+    ; replicate_us = Counters.histogram counters "stage_us.mirror_replicate"
     ; links = Hashtbl.create 8; manager = None; stopped = false }
   in
   t.manager <- Some (Thread.create (fun () -> manager_loop t) ());
@@ -466,9 +468,10 @@ let start (cfg : config) : t =
 let stop (t : t) : unit =
   if not t.stopped then begin
     t.stopped <- true;
-    Mutex.lock t.mu;
-    let links = Hashtbl.fold (fun _ ls acc -> ls :: acc) t.links [] in
-    Mutex.unlock t.mu;
+    let links =
+      Mutex.protect t.mu (fun () ->
+          Hashtbl.fold (fun _ ls acc -> ls :: acc) t.links [])
+    in
     List.iter (fun ls -> ls.l_stop <- true) links;
     Option.iter Thread.join t.manager;
     t.manager <- None;

@@ -326,12 +326,16 @@ and t = {
   mutable wire_cache : Slice.t list;
   mutable comp_cache_body : Bytes.t;
       (** same sharing for [comp=lz] subscribers, keyed the same way:
-          the body is compressed once per fan-out and every compressed
-          queue shares the block (plain MAC-less ones also share the
-          framed wire message below; sealed ones re-seal the shared
-          block per connection, as nonces are per-connection) *)
+          the block is the one a [comp=lz] publisher sent for this body
+          (primed by {!decompress_in}), else the body is compressed once
+          per fan-out; every compressed queue shares the block (plain
+          MAC-less ones also share the framed wire message below; sealed
+          ones re-seal the shared block per connection, as nonces are
+          per-connection) *)
   mutable comp_cache_blk : Bytes.t;
   mutable comp_cache_wire : Slice.t list;
+      (** [comp_cache_blk] framed, built on first MAC-less use; [[]]
+          until then *)
   comp_scratch : Compress.scratch;
       (** shard-owned match-finder workspace (the shard loop is
           single-threaded) — compression never allocates chain arrays
@@ -525,26 +529,37 @@ let note_comp (c : conn) ~(raw : int) ~(wire : int) =
   Counters.add cm.comp_wire wire;
   if wire > 0 then Counters.record m.compress_ratio (raw * 100 / wire)
 
+(** Make [blk] the shared [comp=lz] block for [body]'s fan-out. *)
+let comp_cache_put (t : t) (body : Bytes.t) (blk : Bytes.t) =
+  t.comp_cache_body <- body;
+  t.comp_cache_blk <- blk;
+  t.comp_cache_wire <- []
+
 let enqueue_entry (c : conn) ~droppable (frame : Bytes.t) =
   let t = c.home in
   let wire =
     if c.comp then begin
-      (* compress once per fan-out (same physical-identity key as the
-         plain wire cache below), then frame or seal the shared block *)
+      (* at most one block per fan-out (same physical-identity key as
+         the plain wire cache below), then frame or seal the shared
+         block *)
       let blk =
         if frame == t.comp_cache_body then t.comp_cache_blk
         else begin
           let b = Compress.compress ~scratch:t.comp_scratch frame in
-          t.comp_cache_body <- frame;
-          t.comp_cache_blk <- b;
-          t.comp_cache_wire <- Frame.wire [ Slice.of_bytes b ];
+          comp_cache_put t frame b;
           b
         end
       in
       note_comp c ~raw:(Bytes.length frame) ~wire:(Bytes.length blk);
       match c.mac with
       | Some st -> Frame.wire [ Slice.of_bytes (Macframe.seal_next st blk) ]
-      | None -> t.comp_cache_wire
+      | None -> (
+        match t.comp_cache_wire with
+        | [] ->
+          let w = Frame.wire [ Slice.of_bytes blk ] in
+          t.comp_cache_wire <- w;
+          w
+        | w -> w)
     end
     else
       match c.mac with
@@ -1094,16 +1109,12 @@ let stream_owner (t : t) (stream : string) : t =
   match t.shared with
   | None -> t
   | Some sh ->
-    Mutex.lock sh.pins_mu;
-    let owner =
-      match Hashtbl.find_opt sh.pins stream with
-      | Some id -> sh.peers.(id)
-      | None ->
-        Hashtbl.replace sh.pins stream t.shard_id;
-        t
-    in
-    Mutex.unlock sh.pins_mu;
-    owner
+    Mutex.protect sh.pins_mu (fun () ->
+        match Hashtbl.find_opt sh.pins stream with
+        | Some id -> sh.peers.(id)
+        | None ->
+          Hashtbl.replace sh.pins stream t.shard_id;
+          t)
 
 (* PUBLISH and SUBSCRIBE bodies are the stream name, optionally
    followed by "k=v" option lines (PROTOCOLS.md §13): a publisher sends
@@ -1499,10 +1510,8 @@ let rec handle_control (t : t) (c : conn) kind (body : string) =
     let names =
       match t.shared with
       | Some sh ->
-        Mutex.lock sh.pins_mu;
-        let l = Hashtbl.fold (fun s _ acc -> s :: acc) sh.pins [] in
-        Mutex.unlock sh.pins_mu;
-        l
+        Mutex.protect sh.pins_mu (fun () ->
+            Hashtbl.fold (fun s _ acc -> s :: acc) sh.pins [])
       | None -> Broker.stream_names t.broker
     in
     Counters.incr t.counters "lists";
@@ -1759,12 +1768,22 @@ let unseal (t : t) (c : conn) (frame : Bytes.t) : Bytes.t option =
 (** Inflate an inbound frame on a [comp=lz] connection — after
     {!unseal}, mirroring the outbound [seal (compress _)] order. A
     malformed block means the peer lost framing sync entirely (there is
-    no per-frame tolerance to build on, unlike MAC rejects): doom. *)
+    no per-frame tolerance to build on, unlike MAC rejects): doom.
+
+    A block that inflates cleanly and is no longer than the encoder's
+    worst case ({!Compress.bound}, n+1) becomes the block [comp=lz]
+    subscribers get for this body: blocks are stateless, so forwarding
+    it verbatim is as good as compressing the body again, and cheaper.
+    A longer one is left for {!enqueue_entry} to compress again, so a
+    subscriber never gets more than n+1 bytes for n. *)
 let decompress_in (t : t) (c : conn) (frame : Bytes.t) : Bytes.t option =
   if not c.comp then Some frame
   else
     match Compress.decompress frame with
-    | raw -> Some raw
+    | raw ->
+      if Bytes.length frame <= Compress.bound (Bytes.length raw) then
+        comp_cache_put t raw frame;
+      Some raw
     | exception Compress.Error msg ->
       Counters.incr t.counters "frames_rejected";
       Log.warn (fun m -> m "conn %d: corrupt compressed frame: %s" c.cid msg);
@@ -1963,7 +1982,7 @@ let create_shard ~host ~port ~relay_id ~policy ~max_queue ~evict_grace
     ; wire_cache = Frame.wire [ Slice.of_bytes Bytes.empty ]
     ; comp_cache_body = Bytes.empty
     ; comp_cache_blk = Bytes.empty
-    ; comp_cache_wire = Frame.wire [ Slice.of_bytes Bytes.empty ]
+    ; comp_cache_wire = []
     ; comp_scratch = Compress.scratch ()
     ; pending_acks = Hashtbl.create 8
     ; ack_flush_scheduled = false; store_timer = None; gauge_timer = None

@@ -108,6 +108,18 @@ let test_malformed () =
   let short = Bytes.sub blk 0 (Bytes.length blk - 3) in
   expect_error "truncated stream" short
 
+(* A header's length claim is checked against what the token stream can
+   produce (at most 255 bytes per token-stream byte) before the decoder
+   allocates for it: five bytes claiming ~1 GiB must cost an error, not
+   a gigabyte. *)
+let test_claim_bounds_allocation () =
+  let blk = Bytes.of_string "\x01\x3f\xff\xff\xf0" in
+  let b0 = Gc.allocated_bytes () in
+  expect_error "1 GiB claim in a 5-byte block" blk;
+  let used = Gc.allocated_bytes () -. b0 in
+  if used >= 65536. then
+    Alcotest.failf "decoder allocated %.0f bytes for a 5-byte block" used
+
 let gen_payload =
   (* mix of compressible and adversarial shapes *)
   QCheck.Gen.(
@@ -155,6 +167,48 @@ let prop_slice_roundtrip =
       let s = Slice.make raw off len in
       let got = Compress.decompress_slice (Slice.of_bytes (Compress.compress_slice s)) in
       Bytes.equal (Bytes.sub raw off len) got)
+
+(* Every block the encoder writes passes the decoder's claim check, so
+   the bound refuses no valid block: random, run-heavy and all-zero
+   inputs up to 1 MiB (a long zero run is the densest block the encoder
+   writes, ~255 output bytes per extension byte). *)
+let prop_claim_within_bound =
+  let scratch = Compress.scratch () in
+  let max_len = 1 lsl 20 in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ ( 1,
+            map
+              (fun n ->
+                let st = Random.State.make [| n |] in
+                Bytes.init n (fun _ -> Char.chr (Random.State.int st 256)))
+              (int_bound max_len) )
+        ; ( 2,
+            map
+              (fun n ->
+                (* runs of random bytes with random lengths *)
+                let st = Random.State.make [| n; 7 |] in
+                let b = Bytes.create n in
+                let i = ref 0 in
+                while !i < n do
+                  let run = min (n - !i) (1 + Random.State.int st 4096) in
+                  Bytes.fill b !i run (Char.chr (Random.State.int st 256));
+                  i := !i + run
+                done;
+                b)
+              (int_bound max_len) )
+        ; (1, map (fun n -> Bytes.make n '\000') (int_bound max_len))
+        ; (1, return (Bytes.make max_len '\000')) ])
+  in
+  QCheck.Test.make ~name:"encoder blocks within the decoder's claim bound"
+    ~count:40
+    (QCheck.make ~print:(fun b -> Printf.sprintf "%d bytes" (Bytes.length b)) gen)
+    (fun raw ->
+      let blk = Compress.compress ~scratch raw in
+      let len = Bytes.length blk in
+      (not (Compress.is_lz blk) || Bytes.length raw <= 255 * (len - 5))
+      && Bytes.equal raw (Compress.decompress blk))
 
 (* ------------------------------------------------------------------ *)
 (* Frozen reference encoder                                             *)
@@ -440,9 +494,11 @@ let () =
         ; Alcotest.test_case "ragged slice offsets" `Quick test_ragged_slices
         ; Alcotest.test_case "gathered wire message" `Quick test_slices_gather
         ; Alcotest.test_case "malformed blocks rejected" `Quick test_malformed
+        ; Alcotest.test_case "length claim bounds allocation" `Quick
+            test_claim_bounds_allocation
         ; Alcotest.test_case "overlapping and disjoint matches" `Quick
             test_overlapping_and_disjoint_matches ]
-        @ qsuite [ prop_roundtrip; prop_slice_roundtrip ] )
+        @ qsuite [ prop_roundtrip; prop_slice_roundtrip; prop_claim_within_bound ] )
     ; ( "encoder",
         [ Alcotest.test_case "large region identical to the reference" `Quick
             test_identical_large

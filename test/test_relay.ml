@@ -387,6 +387,209 @@ let test_cluster_counters_wiring () =
   List.iter Relay.Client.close [ admin; pc; zc; pub ]
 
 (* ------------------------------------------------------------------ *)
+(* comp=lz block forwarding                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Compress = Omf_compress.Compress
+
+let bytes_testable =
+  Alcotest.testable
+    (fun fmt b -> Fmt.pf fmt "%d bytes" (Bytes.length b))
+    Bytes.equal
+
+(* A comp=lz connection driven by hand: HELLO in the clear, then every
+   frame on the returned link is one LZ block (sealed under [auth]), so
+   a test can send blocks the client never builds and see the blocks
+   the relay sends. *)
+let block_conn ~port ?auth () =
+  let link = Tcp.connect ~port ~io_timeout_s:10.0 () in
+  let hello =
+    "hcomp=lz"
+    ^ match auth with None -> "" | Some (id, _) -> "\nauth=hmac\nkey-id=" ^ id
+  in
+  Link.send link (Bytes.of_string hello);
+  (match Link.recv link with
+  | Some r when Bytes.length r > 0 && Char.equal (Bytes.get r 0) 'o' ->
+    let granted = String.split_on_char ' ' (Bytes.sub_string r 1 (Bytes.length r - 1)) in
+    check bool "comp=lz granted" true (List.mem "comp=lz" granted)
+  | _ -> Alcotest.fail "HELLO refused");
+  match auth with
+  | None -> link
+  | Some (_, key) -> Macframe.wrap (Macframe.state ~key) link
+
+let block_rpc link body =
+  Link.send link (Compress.compress (Bytes.of_string body));
+  match Option.map Compress.decompress (Link.recv link) with
+  | Some r when Bytes.length r > 0 && Char.equal (Bytes.get r 0) 'o' ->
+    Bytes.sub_string r 1 (Bytes.length r - 1)
+  | _ -> Alcotest.failf "rpc %C refused" body.[0]
+
+(* a comp=lz subscriber that keeps every block it receives, newest
+   first, and decodes the inflated frames *)
+let block_subscriber ~port ?auth ~stream () =
+  let link = block_conn ~port ?auth () in
+  let schema = block_rpc link ("s" ^ stream) in
+  let blocks = ref [] in
+  let inflating =
+    { Link.send = (fun _ -> invalid_arg "subscriber links are receive-only")
+    ; recv =
+        (fun () ->
+          Option.map
+            (fun blk ->
+              blocks := blk :: !blocks;
+              Compress.decompress blk)
+            (Link.recv link))
+    ; close = (fun () -> Link.close link) }
+  in
+  let catalog = Catalog.create Abi.sparc_32 in
+  ignore (X2W.register_schema catalog schema);
+  let rx =
+    Endpoint.Receiver.create inflating (Catalog.registry catalog)
+      (Memory.create Abi.sparc_32)
+  in
+  (rx, blocks, link)
+
+(* a comp=lz publisher whose blocks come from [encode] (any valid block
+   is legal on the wire); [sent] keeps (body, block) pairs, newest
+   first *)
+let block_publisher ~port ~stream =
+  let link = block_conn ~port () in
+  ignore (block_rpc link ("a" ^ stream ^ "\n" ^ Fx.schema_a));
+  ignore (block_rpc link ("p" ^ stream));
+  let encode = ref (fun body -> Compress.compress body) in
+  let sent = ref [] in
+  let encoding =
+    { Link.send =
+        (fun body ->
+          let blk = !encode body in
+          sent := (body, blk) :: !sent;
+          Link.send link blk)
+    ; recv = (fun () -> Link.recv link)
+    ; close = (fun () -> Link.close link) }
+  in
+  let catalog = Catalog.create Abi.x86_64 in
+  ignore (X2W.register_schema catalog Fx.schema_a);
+  let fmt = Option.get (Catalog.find_format catalog "ASDOffEvent") in
+  (Endpoint.Sender.create encoding (Memory.create Abi.x86_64), fmt, encode, sent, link)
+
+(* Valid blocks the encoder never writes: the stored form (tag 0, n+1
+   bytes) of any body, and an lz block holding the body as one literal
+   run, whose 255-continuation length bytes make it longer than n+1. *)
+let stored_block body =
+  let b = Bytes.make (Bytes.length body + 1) '\000' in
+  Bytes.blit body 0 b 1 (Bytes.length body);
+  b
+
+let literal_block body =
+  let n = Bytes.length body in
+  let b = Buffer.create (n + 16) in
+  Buffer.add_char b '\001';
+  Buffer.add_int32_be b (Int32.of_int n);
+  if n < 15 then Buffer.add_char b (Char.chr (n lsl 4))
+  else begin
+    Buffer.add_char b '\xf0';
+    let r = ref (n - 15) in
+    while !r >= 255 do
+      Buffer.add_char b '\xff';
+      r := !r - 255
+    done;
+    Buffer.add_char b (Char.chr !r)
+  end;
+  Buffer.add_bytes b body;
+  Buffer.to_bytes b
+
+(* One relay, a comp=lz publisher and three subscribers: plain, comp=lz,
+   and comp=lz with MAC. A block within the encoder's n+1 worst case
+   reaches the compressed subscribers verbatim (the relay does not
+   compress the body again); a longer one is compressed again; a corrupt
+   one dooms its publisher and reaches no one. *)
+let test_comp_block_forwarding () =
+  let key = ("fwd", "forwarding-key") in
+  let h = Relay.start ~auth_keys:[ key ] () in
+  let port = Relay.port (Relay.relay h) in
+  Fun.protect ~finally:(fun () -> Relay.stop h) @@ fun () ->
+  let stream = "flights" in
+  let sender, fmt, encode, sent, pub_link = block_publisher ~port ~stream in
+  let plain = Relay.attach_consumer ~port ~stream Abi.arm_32 in
+  let zrx, zblocks, zlink = block_subscriber ~port ~stream () in
+  let mrx, mblocks, mlink = block_subscriber ~port ~auth:key ~stream () in
+  let stat k =
+    let c = Relay.Client.connect ~port () in
+    let v = Option.value ~default:0 (List.assoc_opt k (Relay.Client.stats c)) in
+    Relay.Client.close c;
+    v
+  in
+  let wire_key = "comp." ^ stream ^ ".wire_bytes" in
+  let next_seq what rx =
+    match Endpoint.Receiver.recv_value rx with
+    | Some (_, v) -> seq_of v
+    | None -> Alcotest.failf "%s: subscriber closed" what
+  in
+  let blocks_t = Alcotest.list bytes_testable in
+  (* publish [seqs] with blocks from [enc]; every subscriber decodes
+     them, each compressed subscriber receives [want body blk] for every
+     frame sent, and the stream's wire-byte total grows by what both
+     received *)
+  let phase what enc ~want seqs =
+    let w0 = stat wire_key in
+    encode := enc;
+    sent := [];
+    zblocks := [];
+    mblocks := [];
+    List.iter (fun seq -> publish sender fmt ~pad:(1000 + seq) seq) seqs;
+    List.iter
+      (fun seq ->
+        check int (what ^ ": plain") seq (seq_of (snd (Option.get (Relay.recv plain))));
+        check int (what ^ ": comp=lz") seq (next_seq what zrx);
+        check int (what ^ ": comp=lz + mac") seq (next_seq what mrx))
+      seqs;
+    let expected = List.rev_map (fun (body, blk) -> want body blk) !sent in
+    check blocks_t (what ^ ": comp=lz blocks") expected (List.rev !zblocks);
+    check blocks_t (what ^ ": comp=lz + mac blocks") expected (List.rev !mblocks);
+    let total = List.fold_left (fun n b -> n + Bytes.length b) 0 expected in
+    check int (what ^ ": " ^ wire_key) (2 * total) (stat wire_key - w0)
+  in
+  (* canonical blocks: both ends run one encoder, so forwarded or not
+     the subscribers get [Compress.compress body] *)
+  phase "canonical" (fun body -> Compress.compress body)
+    ~want:(fun body blk ->
+      check bytes_testable "publisher block is canonical" (Compress.compress body) blk;
+      Compress.compress body)
+    [ 0; 1; 2 ];
+  (* stored-form blocks for compressible bodies: the subscribers get
+     those n+1 bytes, which only forwarding produces *)
+  phase "stored form" stored_block
+    ~want:(fun body blk ->
+      check bool "body would compress" true
+        (Bytes.length (Compress.compress body) < Bytes.length blk);
+      blk)
+    [ 3; 4 ];
+  (* blocks over n+1 are compressed again to the canonical block *)
+  phase "oversized" literal_block
+    ~want:(fun body blk ->
+      check bool "block over n+1" true
+        (Bytes.length blk > Compress.bound (Bytes.length body));
+      Compress.compress body)
+    [ 5; 6 ];
+  (* a corrupt block dooms its publisher and reaches no subscriber: the
+     next event any of them decodes comes from a second publisher *)
+  let rejected = stat "frames_rejected" and relayed = stat "events_relayed" in
+  Link.send pub_link (Bytes.of_string "\001\000\000\000\016\000\000\005");
+  ignore (wait_stat ~port "frames_rejected" (rejected + 1));
+  (match Link.recv pub_link with
+  | None -> ()
+  | Some _ -> Alcotest.fail "doomed publisher got a reply"
+  | exception (Link.Closed | Link.Timeout | Tcp.Tcp_error _) -> ());
+  check int "corrupt block not relayed" relayed (stat "events_relayed");
+  let sender2, fmt2, _, _, pub2 = block_publisher ~port ~stream in
+  publish sender2 fmt2 ~pad:100 99;
+  check int "plain: next event" 99 (seq_of (snd (Option.get (Relay.recv plain))));
+  check int "comp=lz: next event" 99 (next_seq "after corrupt" zrx);
+  check int "comp=lz + mac: next event" 99 (next_seq "after corrupt" mrx);
+  Relay.close_consumer plain;
+  List.iter Link.close [ zlink; mlink; pub2 ]
+
+(* ------------------------------------------------------------------ *)
 (* Acceptance: 64 concurrent TCP subscribers, zero loss, in order       *)
 (* ------------------------------------------------------------------ *)
 
@@ -890,7 +1093,9 @@ let () =
             test_unknown_stream_and_role_errors
         ; Alcotest.test_case "stats protocol" `Quick test_stats_protocol
         ; Alcotest.test_case "cluster counters after a migration" `Quick
-            test_cluster_counters_wiring ] )
+            test_cluster_counters_wiring
+        ; Alcotest.test_case "comp=lz blocks forwarded, not recompressed"
+            `Quick test_comp_block_forwarding ] )
     ; ( "scale",
         [ Alcotest.test_case "64 TCP subscribers, zero loss, in order" `Quick
             test_64_subscribers_zero_loss_in_order ] )
